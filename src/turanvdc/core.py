@@ -102,11 +102,13 @@ class PeriodicSupport:
             raise ValueError(f"base elements must lie in [1, {self.q - 1}], got {base}")
         if any(a >= b for a, b in zip(base, base[1:])):
             raise ValueError("base must be strictly increasing")
+        # not a dataclass field, so equality, hash and repr stay on (q, base)
+        object.__setattr__(self, "_residues", frozenset(base))
 
     def __contains__(self, k: int) -> bool:
         # membership is a residue test: q*nu + k' with nu >= 0 covers exactly
         # the positive integers whose residue mod q lies in base
-        return k >= 1 and (k % self.q) in set(self.base)
+        return k >= 1 and (k % self.q) in self._residues
 
 
 SupportSet = Union[FiniteSupport, PeriodicSupport]

@@ -371,6 +371,37 @@ def turan_relaxed_lp(h: RationalCutoff, N: int, M: int, eps: float,
                     meta={"N": N, "grid": M, "eps": eps})
 
 
+# pocketfft's error on these transforms, Bluestein lengths included, was
+# measured below 1 * u * log2(n) * sum_k |x_k|; 8 keeps an order of magnitude
+_FFT_KAPPA = 8.0
+
+
+def _grid_derivatives(t: np.ndarray, M: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """T, T' and T'' at x_j = j/(2M), j = 0..M, each with a round-off bound.
+
+    On this grid cos(2 pi k x_j) and sin(2 pi k x_j) are the real and
+    imaginary parts of a length-2M DFT, so each derivative order d is one
+    real FFT of k^d t_k (k = 1..D, zero-padded); t_0 is added afterwards,
+    so an all-zero tail leaves T exactly t_0.  Needs len(t) <= 2M.
+
+    Returns (vals, err): vals = (T, T', T''), arrays of length M + 1, and
+    err[d] = (2 pi)^d * kappa * u * log2(2M) * sum_{k>=1} |k^d t_k|, which
+    bounds |vals[d][j] - exact| for every j.  Unless T is constant, err[0]
+    also carries kappa * u * |t_0|: adding t_0 rounds at u |T_j|, and the
+    certificate arithmetic after it at a few u.
+    """
+    k = np.arange(len(t))
+    rows = np.vstack([np.where(k > 0, t, 0.0), k * t, k * k * t])
+    spec = np.fft.rfft(rows, n=2 * M, axis=-1)
+    w = 2.0 * np.pi
+    vals = (t[0] + spec[0].real, w * spec[1].imag, -(w * w) * spec[2].real)
+    ku = _FFT_KAPPA * np.finfo(float).eps / 2.0
+    err = ku * np.log2(2 * M) * np.abs(rows).sum(axis=1) * np.array([1.0, w, w * w])
+    if err[0] > 0.0:
+        err[0] += ku * abs(t[0])
+    return vals, err
+
+
 def lipschitz_certify(T: CosPoly, M: int) -> tuple[float, float]:
     """Sound global lower bound for T from samples at x_j = j/(2M), j = 0..M.
 
@@ -384,47 +415,71 @@ def lipschitz_certify(T: CosPoly, M: int) -> tuple[float, float]:
     periodicity extend the sampled half period to all of R, so the returned
     certified_min satisfies T(x) >= certified_min everywhere.
 
+    T_j, T'_j and T''_j come from one real FFT of length 2M each.  Each is
+    moved to its safe side (T and T'' down, |T'| up) by an explicit
+    round-off margin (2 pi)^d * kappa * u * log2(2M) * sum_{k>=1} |k^d t_k|
+    for derivative order d, with kappa = 8 and u the unit round-off; the
+    margin on T adds kappa * u * |t_0| for the scalar arithmetic around the
+    transform.  A constant polynomial is evaluated exactly, has no margin
+    and certifies at exactly t_0.  Any M >= 2 deg T is accepted; a 5-smooth
+    M, as `certification_grid` returns, keeps the FFTs on their fast path.
+
     Returns (certified_min, B1).
     """
-    t = np.asarray(T.coeffs)
+    if M < 1:
+        raise ValueError(f"grid size must be >= 1, got M={M}")
     deg = T.degree
     if M < 2 * deg:
         raise ValueError(f"grid size M={M} below 2*degree={2 * deg}")
+    t = np.asarray(T.coeffs)[:deg + 1]
     k = np.arange(len(t))
     kt = k * t
     B1 = 2.0 * np.pi * float(np.sum(np.abs(kt)))
     B3 = (2.0 * np.pi) ** 3 * float(np.sum(k ** 2 * np.abs(kt)))
     r = 1.0 / (4.0 * M)
-    lo = np.inf
-    chunk = 1 << 16
-    for start in range(0, M + 1, chunk):
-        j = np.arange(start, min(start + chunk, M + 1))
-        ang = 2.0 * np.pi * np.outer(j / (2.0 * M), k)
-        cosang = np.cos(ang)
-        Tv = cosang @ t
-        a1 = np.abs(np.sin(ang) @ kt) * (2.0 * np.pi)
-        T2 = -(2.0 * np.pi) ** 2 * (cosang @ (k * kt))
-        # endpoint v = r and the sample itself (v = 0)
-        cand = np.minimum(Tv, Tv - a1 * r + 0.5 * T2 * r * r - (B3 / 6.0) * r ** 3)
-        if B3 > 0.0:
-            # interior local minimum of the cubic lower bound, if inside (0, r)
-            disc = T2 * T2 - 2.0 * B3 * a1
-            ok = disc > 0.0
-            vm = np.where(ok, (T2 - np.sqrt(np.where(ok, disc, 0.0))) / B3, -1.0)
-            use = ok & (vm > 0.0) & (vm < r)
-            vs = np.where(use, vm, 0.0)
-            gv = Tv - a1 * vs + 0.5 * T2 * vs * vs - (B3 / 6.0) * vs ** 3
-            cand = np.where(use, np.minimum(cand, gv), cand)
-        lo = min(lo, float(np.maximum(cand, Tv - B1 * r).min()))
-    return lo, B1
+    (Tv, T1, T2), err = _grid_derivatives(t, M)
+    Tv = Tv - err[0]
+    a1 = np.abs(T1) + err[1]
+    T2 = T2 - err[2]
+    # endpoint v = r and the sample itself (v = 0)
+    cand = np.minimum(Tv, Tv - a1 * r + 0.5 * T2 * r * r - (B3 / 6.0) * r ** 3)
+    if B3 > 0.0:
+        # interior local minimum of the cubic lower bound, if inside (0, r)
+        disc = T2 * T2 - 2.0 * B3 * a1
+        ok = disc > 0.0
+        vm = np.where(ok, (T2 - np.sqrt(np.where(ok, disc, 0.0))) / B3, -1.0)
+        use = ok & (vm > 0.0) & (vm < r)
+        vs = np.where(use, vm, 0.0)
+        gv = Tv - a1 * vs + 0.5 * T2 * vs * vs - (B3 / 6.0) * vs ** 3
+        cand = np.where(use, np.minimum(cand, gv), cand)
+    return float(np.maximum(cand, Tv - B1 * r).min()), B1
+
+
+def _smooth_at_least(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 5."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def certification_grid(T: CosPoly, target: float = 1e-10) -> int:
-    """Grid size making the certificate's cubic correction at most `target`."""
+    """Grid size making the certificate's cubic correction at most `target`.
+
+    The size is rounded up to the next M with no prime factor above 5, so
+    the length-2M FFTs of `lipschitz_certify` stay on pocketfft's fast path;
+    a length with a large prime factor falls back to Bluestein's algorithm,
+    about 10x slower.  A larger M only shrinks the correction.
+    """
     k = np.arange(len(T.coeffs))
     B3 = (2.0 * np.pi) ** 3 * float(np.sum(k ** 3 * np.abs(T.coeffs)))
     M = max(2 * T.degree, 64)
     if B3 > 0.0:
         # correction scale is (B3/6) (1/(4M))^3; double for the |T'| interplay
         M = max(M, 2 * int(np.ceil((B3 / (6.0 * target)) ** (1.0 / 3.0) / 4.0)))
-    return M
+    return _smooth_at_least(M)

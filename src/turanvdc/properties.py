@@ -13,9 +13,10 @@ kernel qualifies) because only the values f(k/q) enter the identity.
 Set laws checked at the grid-LP level: monotonicity under inclusion (exact
 on a common grid, since more variables can only lower the minimum), dilation
 invariance with a correspondingly dilated grid, the divisibility bound, and
-supermultiplicativity on unions.  The van der Corput verdict never claims
-delta = 0 numerically: it reports a positive certified lower bound when one
-is available and stays inconclusive otherwise.
+supermultiplicativity on unions.  A check whose grid LP ends without an
+optimal value raises LPNotOptimal, naming the status.  The van der Corput
+verdict never claims delta = 0 numerically: it reports a positive certified
+lower bound when one is available and stays inconclusive otherwise.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .core import (
     eval_cospoly,
     is_subset,
 )
-from .lp import delta_grid_lp
+from .lp import OPTIMAL, delta_grid_lp
 
 _PAIR_TOL = 1e-9
 _GRID_EXACT_TOL = 1e-9
@@ -46,6 +47,18 @@ class PreconditionViolated(ValueError):
 
 class NotASubset(ValueError):
     """Monotonicity check called on sets without inclusion."""
+
+
+class LPNotOptimal(ValueError):
+    """A grid LP behind a property check ended without an optimal value."""
+
+
+def _grid_value(K: FiniteSupport, M: int) -> float:
+    res = delta_grid_lp(K, M)
+    if res.status != OPTIMAL:
+        raise LPNotOptimal(f"grid LP for {len(K)} frequencies at M={M} ended with "
+                           f"status {res.status}, not {OPTIMAL}")
+    return res.value
 
 
 @dataclass
@@ -117,8 +130,8 @@ def check_monotonicity(K1: FiniteSupport, K2: FiniteSupport, M: int) -> CheckRep
     """Property: K1 inside K2 implies delta(K1) >= delta(K2), exact per grid."""
     if not is_subset(K1, K2, max(K1.elements + K2.elements)):
         raise NotASubset(f"{list(K1.elements)} is not a subset of {list(K2.elements)}")
-    v1 = delta_grid_lp(K1, M).value
-    v2 = delta_grid_lp(K2, M).value
+    v1 = _grid_value(K1, M)
+    v2 = _grid_value(K2, M)
     return CheckReport(
         check="monotonicity",
         inputs={"K1": list(K1.elements), "K2": list(K2.elements), "grid": M},
@@ -129,8 +142,8 @@ def check_monotonicity(K1: FiniteSupport, K2: FiniteSupport, M: int) -> CheckRep
 
 def check_dilation(K: FiniteSupport, m: int, M: int) -> CheckReport:
     """Property: delta(mK) = delta(K); the grid dilates with the set."""
-    v1 = delta_grid_lp(K, M).value
-    v2 = delta_grid_lp(dilate_support(K, m), m * M).value
+    v1 = _grid_value(K, M)
+    v2 = _grid_value(dilate_support(K, m), m * M)
     return CheckReport(
         check="dilation",
         inputs={"K": list(K.elements), "m": m, "grid": M},
@@ -143,7 +156,7 @@ def check_divisibility_bound(K: FiniteSupport, m: int, M: int) -> CheckReport:
     """Property: delta of the multiples-of-m part is at most m*delta(K);
     when K holds no multiple of m at all, delta(K) >= 1/m."""
     mult = [k for k in K.elements if k % m == 0]
-    v = delta_grid_lp(K, M).value
+    v = _grid_value(K, M)
     if not mult:
         return CheckReport(
             check="divisibility",
@@ -151,7 +164,7 @@ def check_divisibility_bound(K: FiniteSupport, m: int, M: int) -> CheckReport:
             values=[v, 1.0 / m],
             passed=v >= 1.0 / m - _VALUE_TOL,
         )
-    vm = delta_grid_lp(FiniteSupport(tuple(mult)), M).value
+    vm = _grid_value(FiniteSupport(tuple(mult)), M)
     return CheckReport(
         check="divisibility",
         inputs={"K": list(K.elements), "m": m, "grid": M, "multiples": mult},
@@ -163,9 +176,9 @@ def check_divisibility_bound(K: FiniteSupport, m: int, M: int) -> CheckReport:
 def check_supermultiplicative(K1: FiniteSupport, K2: FiniteSupport, M: int) -> CheckReport:
     """Property: delta(K1) * delta(K2) <= delta(K1 union K2)."""
     union = FiniteSupport(tuple(sorted(set(K1.elements) | set(K2.elements))))
-    v1 = delta_grid_lp(K1, M).value
-    v2 = delta_grid_lp(K2, M).value
-    vu = delta_grid_lp(union, M).value
+    v1 = _grid_value(K1, M)
+    v2 = _grid_value(K2, M)
+    vu = _grid_value(union, M)
     return CheckReport(
         check="supermultiplicative",
         inputs={"K1": list(K1.elements), "K2": list(K2.elements), "grid": M},

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from turanvdc import properties
 from turanvdc.cli import dumps, main
 from turanvdc.core import cospoly_from_json
+from turanvdc.lp import ITERATION_LIMIT, LPResult
 
 
 def run(capsys, *argv):
@@ -197,6 +199,14 @@ class TestCheck:
 
     def test_missing_input_exit_2(self, capsys):
         assert run(capsys, "check", "--property", "mono", "--k1", "2,3")[0] == 2
+
+    def test_non_optimal_lp_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(properties, "delta_grid_lp",
+                            lambda K, M: LPResult(ITERATION_LIMIT, None, None, 100000))
+        rc, out, err = run(capsys, "check", "--property", "mono",
+                           "--k1", "2,3", "--k2", "1,2,3", "--grid", "1024")
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and "LPNotOptimal" in err and "IterationLimit" in err
 
 
 class TestDeterminism:

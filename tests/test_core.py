@@ -106,6 +106,15 @@ class TestSupportSets:
             assert is_subset(K1, K2, 40)
             assert is_subset(dilate_support(K1, m), dilate_support(K2, m), 200)
 
+    def test_periodic_membership(self):
+        for q, base in ((2, (1,)), (5, (1, 4)), (7, (2, 3, 4, 5)), (12, (1, 5, 7, 11))):
+            K = PeriodicSupport(q, base)
+            members = {q * nu + k for nu in range(5) for k in base}
+            assert [k in K for k in range(-q, 5 * q + 1)] == \
+                [k in members for k in range(-q, 5 * q + 1)]
+            assert repr(K) == f"PeriodicSupport(q={q}, base={base!r})"
+            assert K == PeriodicSupport(q, base) and hash(K) == hash((q, base))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FiniteSupport((2, 2, 3))

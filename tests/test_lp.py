@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from turanvdc.closed_forms import turan_value
@@ -14,6 +17,7 @@ from turanvdc.lp import (
     UNBOUNDED,
     EpsTooSmall,
     LPProblem,
+    _grid_derivatives,
     certification_grid,
     delta_grid_lp,
     delta_periodic_lp,
@@ -250,6 +254,13 @@ class TestLipschitzCertify:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             lipschitz_certify(CosPoly([0.0, 0.0, 1.0]), 3)
+        with pytest.raises(ValueError):
+            lipschitz_certify(CosPoly([1.0]), 0)
+
+    def test_trailing_zeros(self):
+        # stored length 23 exceeds the FFT length 2M = 8
+        assert lipschitz_certify(CosPoly([0, 0, 1] + [0] * 20), 4) == \
+            lipschitz_certify(CosPoly([0, 0, 1]), 4)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_soundness_against_fine_grid(self, seed):
@@ -268,3 +279,64 @@ class TestLipschitzCertify:
         M = certification_grid(T)
         cm, _ = lipschitz_certify(T, M)
         assert cm >= -1e-9
+
+
+U = np.finfo(float).eps / 2
+COEFFS = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+POLYS = st.builds(lambda t, top: CosPoly(t + [top]),
+                  st.lists(COEFFS, min_size=1, max_size=60),
+                  COEFFS.filter(lambda v: v != 0.0))
+
+
+@st.composite
+def poly_and_grid(draw, max_grid):
+    T = draw(POLYS)
+    return T, draw(st.integers(2 * T.degree, max_grid))
+
+
+class TestFFTGrid:
+    # M = 1009 and 997 make 2M = 2 * prime, the Bluestein path of pocketfft
+    @settings(max_examples=40, deadline=None)
+    @given(poly_and_grid(4000), st.lists(st.integers(0, 10 ** 9), min_size=4, max_size=4))
+    @example((CosPoly([0.3, -1.0, 2.0, 0.5]), 1009), [0, 1, 500, 1009])
+    @example((CosPoly(np.ones(61)), 997), [0, 1, 2, 997])
+    def test_matches_direct_sum_within_margin(self, TM, js):
+        T, M = TM
+        vals, err = _grid_derivatives(np.asarray(T.coeffs), M)
+        assert [len(v) for v in vals] == [M + 1] * 3
+        with mpmath.workdps(40):
+            w = 2 * mpmath.pi
+            for j in (j % (M + 1) for j in js):
+                exact = [mpmath.mpf(float(T.coeffs[0])), mpmath.mpf(0), mpmath.mpf(0)]
+                for k, tk in enumerate(map(mpmath.mpf, T.coeffs[1:].tolist()), start=1):
+                    ang = mpmath.pi * k * j / M
+                    exact[0] += tk * mpmath.cos(ang)
+                    exact[1] -= w * k * tk * mpmath.sin(ang)
+                    exact[2] -= w ** 2 * k * k * tk * mpmath.cos(ang)
+                for d in range(3):
+                    assert abs(mpmath.mpf(float(vals[d][j])) - exact[d]) <= err[d], (d, j)
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly_and_grid(2000))
+    @example((CosPoly([0.0, 1.0]), 1009))
+    def test_certified_min_below_fine_grid(self, TM):
+        T, M = TM
+        cm, _ = lipschitz_certify(T, M)
+        xs = np.arange(10 * M + 1) / (20 * M)
+        # slack for the round-off of eval_cospoly itself
+        slack = 16 * U * (T.degree + 1) * float(np.abs(T.coeffs).sum())
+        assert cm <= np.min(eval_cospoly(T, xs)) + slack
+
+    @settings(max_examples=60, deadline=None)
+    @given(POLYS, st.sampled_from([1e-6, 1e-10, 1e-13]))
+    def test_certification_grid_fast_length(self, T, target):
+        M = certification_grid(T, target)
+        n = 2 * M
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        assert n == 1
+        k = np.arange(len(T.coeffs))
+        B3 = (2.0 * np.pi) ** 3 * float(np.sum(k ** 3 * np.abs(T.coeffs)))
+        cubic = 2 * int(np.ceil((B3 / (6.0 * target)) ** (1.0 / 3.0) / 4.0))
+        assert M >= max(2 * T.degree, 64, cubic)

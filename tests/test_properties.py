@@ -4,9 +4,11 @@ import pytest
 from turanvdc.core import CosPoly, PeriodicSupport, finite_support, make_cutoff, periodic_block
 from turanvdc.extremal import build_extremal
 from turanvdc.kernels import fejer
-from turanvdc.lp import delta_grid_lp
+from turanvdc import properties
+from turanvdc.lp import ITERATION_LIMIT, LPResult, delta_grid_lp
 from turanvdc.properties import (
     CheckReport,
+    LPNotOptimal,
     NotASubset,
     PreconditionViolated,
     check_dilation,
@@ -134,6 +136,25 @@ class TestSupermultiplicative:
     def test_mixed(self):
         rep = check_supermultiplicative(finite_support([2, 3]), finite_support([1]), 1024)
         assert rep.passed
+
+
+class TestNotOptimal:
+    @pytest.fixture
+    def stalled(self, monkeypatch):
+        monkeypatch.setattr(properties, "delta_grid_lp",
+                            lambda K, M: LPResult(ITERATION_LIMIT, None, None, 100000))
+
+    @pytest.mark.parametrize("check, args", [
+        (check_monotonicity, ([2, 3], [1, 2, 3])),
+        (check_dilation, ([2, 3], 2)),
+        (check_divisibility_bound, ([1, 2, 4, 5], 3)),
+        (check_divisibility_bound, ([6, 9], 3)),
+        (check_supermultiplicative, ([1], [2])),
+    ])
+    def test_status_named_in_typed_error(self, stalled, check, args):
+        args = [finite_support(a) if isinstance(a, list) else a for a in args]
+        with pytest.raises(LPNotOptimal, match="status IterationLimit"):
+            check(*args, 1024)
 
 
 def test_delta_never_exceeds_one():
