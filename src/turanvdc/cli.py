@@ -6,7 +6,9 @@ Subcommands mirror the library: `turan` (closed-form values), `delta`
 is deterministic: fixed field order and floats rendered with 17 significant
 digits, so identical flags give byte-identical bytes.
 
-Exit codes: 0 success / check passed, 1 check failed, 2 invalid input.
+Exit codes: 0 success / check passed, 1 check failed, 2 invalid input or a
+grid LP without an optimal value under `check` or `table --with-lp` (`delta`
+prints the status, and the `vdc` verdict stays Inconclusive).
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import argparse
 import sys
 
 from . import closed_forms, core, extremal, lp, properties
-from .kernels import fejer
 
 # every domain precondition error derives from one of these
 _INPUT_ERRORS = (ValueError, ArithmeticError)
@@ -155,10 +156,9 @@ def _cmd_table(args) -> int:
         gamma0 = 1.0 / (q * A)
         row = {"q": q, "A": float(A), "gamma0": float(gamma0)}
         if args.with_lp:
-            h = core.make_cutoff(args.p, q)
-            res = lp.delta_grid_lp(core.block_support(h), args.grid)
-            row["lp"] = float(res.value)
-            row["gap"] = float(A - res.value)
+            value = properties.grid_value(core.block_support(core.make_cutoff(args.p, q)), args.grid)
+            row["lp"] = float(value)
+            row["gap"] = float(A - value)
         rows.append(row)
     if not rows:
         raise ValueError(f"no admissible q in [{args.qmin}, {args.qmax}] for p={args.p}")
@@ -188,17 +188,7 @@ def _cmd_check(args) -> int:
         report = properties.check_supermultiplicative(
             _parse_set(_req(args.k1, "--k1")), _parse_set(_req(args.k2, "--k2")), M)
     elif prop == "pairing":
-        p, q = _parse_pq(_req(args.pq, "--pq"))
-        h = core.make_cutoff(p, q)
-        T = extremal.build_extremal(p, q)
-        lhs, rhs = properties.pairing_check(T, fejer(q), h)
-        a0 = float(fejer(q).coeffs[0])
-        report = properties.CheckReport(
-            check="pairing",
-            inputs={"p": p, "q": q},
-            values=[lhs, rhs, a0],
-            passed=abs(lhs - rhs) <= 1e-9 and a0 <= lhs + 1e-9,
-        )
+        report = properties.pairing_report(core.make_cutoff(*_parse_pq(_req(args.pq, "--pq"))))
     elif prop == "vdc":
         if args.pq is not None:
             p, q = _parse_pq(args.pq)

@@ -139,13 +139,7 @@ def truncate_support(K: SupportSet, H: int) -> FiniteSupport:
     if isinstance(K, FiniteSupport):
         kept = tuple(k for k in K.elements if k <= H)
     else:
-        kept = tuple(
-            K.q * nu + k
-            for nu in range((H - min(K.base)) // K.q + 1)
-            for k in K.base
-            if K.q * nu + k <= H
-        ) if H >= min(K.base) else ()
-        kept = tuple(sorted(kept))
+        kept = tuple(k for k in range(1, H + 1) if k in K)
     if not kept:
         raise EmptyTruncation(f"no element of the support is <= {H}")
     return FiniteSupport(kept)

@@ -11,7 +11,7 @@ closed forms is the point of this module.
 The grid LP is solved through its dual, which has one row per polynomial
 coefficient instead of one row per grid point, keeping the dense tableau
 narrow; the optimizing coefficients are recovered from the equality-row
-multipliers and validated against the primal constraints.
+multipliers, and their primal residuals are recorded in meta, not enforced.
 
 The Turan-side estimator maximizes a0 over nonnegative coefficient vectors
 summing to 1 with |f| <= eps on a grid of [h, 1/2].  Truncation (inner) and
@@ -80,81 +80,83 @@ class LPResult:
     meta: dict = field(default_factory=dict)
 
 
+def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    # every row, the objective row last included, loses its column-j entry
+    T[r] /= T[r, j]
+    col = T[:, j].copy()
+    col[r] = 0.0
+    np.subtract(T, np.outer(col, T[r]), out=T)
+    T[:, j] = 0.0
+    T[r, j] = 1.0
+    basis[r] = j
+
+
 def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     """Two-phase dense tableau simplex.
 
     Entering column: most negative reduced cost, lowest index on ties;
     after a run of degenerate pivots Bland's anti-cycling rule (lowest
     eligible index) takes over until progress resumes, which guarantees
-    termination.  Leaving row: minimum ratio, ties broken by lowest basic
-    variable index.  Everything is deterministic for identical inputs.
+    termination.  Leaving row: lexicographic minimum ratio, final ties
+    broken by lowest basic variable index.  Everything is deterministic for
+    identical inputs.
 
-    Returns status Optimal / Infeasible / Unbounded / IterationLimit; on
-    Optimal the solution satisfies all constraints to 1e-8 (residuals are
-    recorded in meta) and duals holds one multiplier per constraint row.
+    Returns status Optimal / Infeasible / Unbounded / IterationLimit.  On
+    Optimal, duals holds one multiplier per constraint row, and meta records
+    the solution's largest constraint violation and the duality gap; these
+    residuals are reported, not enforced, so callers that need a feasible
+    point must check them.
     """
     m, n = prob.A.shape
     free_idx = np.nonzero(prob.free)[0]
 
     # split free variables into positive parts appended after the originals
-    A = np.hstack([prob.A, -prob.A[:, free_idx]]) if len(free_idx) else prob.A.copy()
-    c = np.concatenate([prob.c, -prob.c[free_idx]]) if len(free_idx) else prob.c.copy()
+    A = np.hstack([prob.A, -prob.A[:, free_idx]])
+    c = np.concatenate([prob.c, -prob.c[free_idx]])
     nx = A.shape[1]
 
-    # equality form with b >= 0; track sign flips for the dual mapping
-    sign = np.ones(m)
-    S = np.zeros((m, m))
-    ns = 0
-    rows = np.empty_like(A)
-    rhs = np.empty(m)
-    for i in range(m):
-        a, bi, rel = A[i], prob.b[i], prob.relations[i]
-        if bi < 0:
-            a, bi = -a, -bi
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            sign[i] = -1.0
-        rows[i] = a
-        rhs[i] = bi
-        if rel == "<=":
-            S[i, ns] = 1.0
-            ns += 1
-        elif rel == ">=":
-            S[i, ns] = -1.0
-            ns += 1
+    # equality form with b >= 0: rows with b < 0 flip sign (and <= with >=);
+    # one slack column per inequality, +1 for <= and -1 for >= after the flip
+    sense = np.array([{"<=": 1.0, "=": 0.0, ">=": -1.0}[r] for r in prob.relations], dtype=float)
+    sign = np.where(prob.b < 0, -1.0, 1.0)
+    slack = sense * sign
+    srows = np.nonzero(slack)[0]
+    ns = len(srows)
     art0 = nx + ns
     total = art0 + m + 1
-    T = np.zeros((m, total))
-    T[:, :nx] = rows
-    T[:, nx:art0] = S[:, :ns]
-    T[:, art0:art0 + m] = np.eye(m)
-    T[:, -1] = rhs
+    # rows 0..m-1 are the constraints, row m the objective (reduced costs,
+    # minus the objective value in the last column)
+    T = np.zeros((m + 1, total))
+    T[:m, :nx] = A * sign[:, None]
+    T[srows, nx + np.arange(ns)] = slack[srows]
+    T[:m, art0:art0 + m] = np.eye(m)
+    T[:m, -1] = prob.b * sign
     basis = np.arange(art0, art0 + m)
+    # an artificial that leaves the basis may not re-enter
+    eligible = np.ones(total - 1, dtype=bool)
+    eligible[art0:art0 + m] = False
     iters = 0
 
     def leave_row(j: int, pos: np.ndarray) -> int:
         # lexicographic ratio test over [b | B^-1]: the artificial block tracks
         # B^-1 exactly, so breaking ratio ties by those columns reproduces the
         # classic anti-cycling rule; final ties fall back to lowest basis index
-        colj = T[pos, j]
-        ties = pos
+        ties, colj = pos, T[pos, j]
         vals = np.maximum(T[pos, -1], 0.0) / colj
-        vmin = vals.min()
-        keep = vals <= vmin + _RATIO_TIE_TOL
-        ties, colj = ties[keep], colj[keep]
-        for lexcol in range(art0, art0 + m):
-            if len(ties) == 1:
-                break
-            vals = T[ties, lexcol] / colj
-            vmin = vals.min()
-            keep = vals <= vmin + _RATIO_TIE_TOL
+        lexcol = art0
+        while True:
+            keep = vals <= vals.min() + _RATIO_TIE_TOL
             ties, colj = ties[keep], colj[keep]
-        return int(ties[np.argmin(basis[ties])])
+            if len(ties) == 1 or lexcol == art0 + m:
+                return int(ties[np.argmin(basis[ties])])
+            vals = T[ties, lexcol] / colj
+            lexcol += 1
 
-    def run_phase(objrow: np.ndarray, eligible: np.ndarray) -> str:
+    def run_phase() -> str:
         nonlocal iters
         degen_run = 0
         while True:
-            red = objrow[:-1]
+            red = T[m, :-1]
             cand = np.nonzero(eligible & (red < -_PIVOT_TOL))[0]
             if len(cand) == 0:
                 return OPTIMAL
@@ -162,97 +164,60 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
                 j = int(cand[0])                       # Bland fallback
             else:
                 j = int(cand[np.argmin(red[cand])])    # Dantzig, first index on ties
-            colj = T[:, j]
-            pos = np.nonzero(colj > _PIVOT_TOL)[0]
+            pos = np.nonzero(T[:m, j] > _PIVOT_TOL)[0]
             if len(pos) == 0:
                 return UNBOUNDED
             pr = leave_row(j, pos)
-            rmin = max(T[pr, -1], 0.0) / T[pr, j]
             if iters >= max_iters:
                 return ITERATION_LIMIT
-            degen_run = degen_run + 1 if rmin <= _RATIO_TIE_TOL else 0
-            piv = T[pr, j]
-            T[pr] /= piv
-            col = T[:, j].copy()
-            col[pr] = 0.0
-            np.subtract(T, np.outer(col, T[pr]), out=T)
-            T[:, j] = 0.0
-            T[pr, j] = 1.0
-            objrow -= objrow[j] * T[pr]
-            basis[pr] = j
+            degen_run = degen_run + 1 if max(T[pr, -1], 0.0) / T[pr, j] <= _RATIO_TIE_TOL else 0
+            _pivot(T, basis, pr, j)
             iters += 1
 
-    # phase 1: minimize the sum of artificials (unit costs, basis = artificials);
-    # once an artificial leaves the basis it may not re-enter
-    objrow = -T.sum(axis=0)
-    objrow[art0:art0 + m] = 0.0
-    eligible = np.ones(total - 1, dtype=bool)
-    eligible[art0:art0 + m] = False
-    status = run_phase(objrow, eligible)
+    # phase 1: minimize the sum of artificials (unit costs, basis = artificials)
+    T[m] = -T[:m].sum(axis=0)
+    T[m, art0:art0 + m] = 0.0
+    status = run_phase()
     if status == ITERATION_LIMIT:
         return LPResult(ITERATION_LIMIT, None, None, iters)
-    if status == UNBOUNDED or -objrow[-1] > _FEAS_TOL:
+    if status == UNBOUNDED or -T[m, -1] > _FEAS_TOL:
         # phase 1 cannot be unbounded in exact arithmetic; treat as infeasible
-        return LPResult(INFEASIBLE, None, None, iters, meta={"phase1": float(-objrow[-1])})
+        return LPResult(INFEASIBLE, None, None, iters, meta={"phase1": float(-T[m, -1])})
 
     # pivot leftover artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= art0:
-            nz = np.nonzero(np.abs(T[i, :art0]) > _PIVOT_TOL)[0]
-            if len(nz):
-                j = int(nz[0])
-                piv = T[i, j]
-                T[i] /= piv
-                col = T[:, j].copy()
-                col[i] = 0.0
-                T -= np.outer(col, T[i])
-                T[:, j] = 0.0
-                T[i, j] = 1.0
-                basis[i] = j
-                iters += 1
+    for i in np.nonzero(basis >= art0)[0]:
+        nz = np.nonzero(np.abs(T[i, :art0]) > _PIVOT_TOL)[0]
+        if len(nz):
+            _pivot(T, basis, i, int(nz[0]))
+            iters += 1
 
     # phase 2 over the original objective, artificial columns frozen
-    objrow = np.zeros(total)
-    objrow[:nx] = c
+    T[m] = 0.0
+    T[m, :nx] = c
     for i in range(m):
-        if objrow[basis[i]] != 0.0:
-            objrow = objrow - objrow[basis[i]] * T[i]
-    eligible = np.ones(total - 1, dtype=bool)
-    eligible[art0:art0 + m] = False
-    status = run_phase(objrow, eligible)
+        if T[m, basis[i]] != 0.0:
+            T[m] -= T[m, basis[i]] * T[i]
+    status = run_phase()
     if status != OPTIMAL:
         return LPResult(status, None, None, iters)
 
     xfull = np.zeros(total - 1)
-    xfull[basis] = T[:, -1]
+    xfull[basis] = T[:m, -1]
     x = xfull[:n].copy()
-    if len(free_idx):
-        x[free_idx] -= xfull[n:nx]
+    x[free_idx] -= xfull[n:nx]
     value = float(prob.c @ x)
 
     # multipliers: reduced cost at the artificial (identity) columns is -pi
-    duals = -objrow[art0:art0 + m] * sign
+    duals = -T[m, art0:art0 + m] * sign
 
-    lhs = prob.A @ x
-    viol = 0.0
-    for i, rel in enumerate(prob.relations):
-        r = lhs[i] - prob.b[i]
-        if rel == "<=":
-            viol = max(viol, r)
-        elif rel == ">=":
-            viol = max(viol, -r)
-        else:
-            viol = max(viol, abs(r))
+    # residual r = Ax - b violates <= when positive, >= when negative, = when nonzero
+    r = prob.A @ x - prob.b
+    viol = np.where(sense == 0.0, np.abs(r), sense * r)
     return LPResult(
         OPTIMAL, value, x, iters, duals=duals,
-        meta={"max_violation": float(max(viol, 0.0)),
+        meta={"max_violation": float(max(0.0, viol.max(initial=0.0))),
               "duality_gap": float(abs(value - float(duals @ prob.b)))},
     )
-
-
-def _grid(M: int) -> np.ndarray:
-    # uniform on [0, 1/2] inclusive; evenness and periodicity make this cover R
-    return np.arange(M + 1) / (2.0 * M)
 
 
 def _cos_matrix(freqs, xs: np.ndarray) -> np.ndarray:
@@ -262,7 +227,7 @@ def _cos_matrix(freqs, xs: np.ndarray) -> np.ndarray:
     return G
 
 
-def delta_grid_lp(K: FiniteSupport, M: int, max_iters: int = 100000) -> LPResult:
+def delta_grid_lp(K: FiniteSupport, M: int) -> LPResult:
     """Grid-relaxed delta(K): min T0 s.t. T(x_j) >= 0 on the grid and T(0) = 1.
 
     Variables are T0 and T_k for k in K, all free.  The value is a lower
@@ -278,8 +243,8 @@ def delta_grid_lp(K: FiniteSupport, M: int, max_iters: int = 100000) -> LPResult
         raise ValueError("support set must be nonempty")
     if M < 2 * max(freqs):
         raise ValueError(f"grid size M={M} below 2*max(K)={2 * max(freqs)}")
-    xs = _grid(M)
-    G = _cos_matrix(freqs, xs)
+    # uniform on [0, 1/2] inclusive; evenness and periodicity make this cover R
+    G = _cos_matrix(freqs, np.arange(M + 1) / (2.0 * M))
     nv = len(freqs) + 1
 
     # dual: max z s.t. G^T y + z 1 = e1, y >= 0, z free  (value equals min T0)
@@ -290,15 +255,11 @@ def delta_grid_lp(K: FiniteSupport, M: int, max_iters: int = 100000) -> LPResult
     b[0] = 1.0
     free = np.zeros(M + 2, dtype=bool)
     free[-1] = True
-    inner = simplex_solve(LPProblem(c, A, ("=",) * nv, b, free), max_iters=max_iters)
-
-    if inner.status == INFEASIBLE:
-        # dual infeasible <=> grid primal unbounded below
-        return LPResult(UNBOUNDED, None, None, inner.iterations, meta={"grid": M})
-    if inner.status == UNBOUNDED:
-        return LPResult(INFEASIBLE, None, None, inner.iterations, meta={"grid": M})
+    inner = simplex_solve(LPProblem(c, A, ("=",) * nv, b, free))
     if inner.status != OPTIMAL:
-        return LPResult(inner.status, None, None, inner.iterations, meta={"grid": M})
+        # dual infeasible <=> grid primal unbounded below, and vice versa
+        status = {INFEASIBLE: UNBOUNDED, UNBOUNDED: INFEASIBLE}.get(inner.status, inner.status)
+        return LPResult(status, None, None, inner.iterations, meta={"grid": M})
 
     coeffs = -inner.duals
     value = float(-inner.value)
@@ -323,7 +284,7 @@ def solution_poly(K: FiniteSupport, result: LPResult) -> CosPoly:
     return CosPoly(t)
 
 
-def delta_periodic_lp(h: RationalCutoff, periods: int, M: int, max_iters: int = 100000) -> LPResult:
+def delta_periodic_lp(h: RationalCutoff, periods: int, M: int) -> LPResult:
     """delta_grid_lp on the periodic block truncated after `periods` extra periods.
 
     The cut is at H = q*periods + (q - p), so periods = 0 keeps exactly the
@@ -334,14 +295,13 @@ def delta_periodic_lp(h: RationalCutoff, periods: int, M: int, max_iters: int = 
         raise ValueError(f"periods must be >= 0, got {periods}")
     H = h.q * periods + (h.q - h.p)
     K = truncate_support(periodic_block(h), H)
-    res = delta_grid_lp(K, M, max_iters=max_iters)
+    res = delta_grid_lp(K, M)
     res.meta["periods"] = periods
     res.meta["cut"] = H
     return res
 
 
-def turan_relaxed_lp(h: RationalCutoff, N: int, M: int, eps: float,
-                     max_iters: int = 100000) -> LPResult:
+def turan_relaxed_lp(h: RationalCutoff, N: int, M: int, eps: float) -> LPResult:
     """Relaxed Turan estimator: max a0, a >= 0, sum a = 1, |f| <= eps on [h, 1/2].
 
     A convergent estimate of the Turan value, not a one-sided bound; the
@@ -361,14 +321,13 @@ def turan_relaxed_lp(h: RationalCutoff, N: int, M: int, eps: float,
     b = np.concatenate([[1.0], np.full(2 * len(xs), eps)])
     c = np.zeros(n)
     c[0] = -1.0
-    inner = simplex_solve(LPProblem(c, A, rel, b, np.zeros(n, dtype=bool)), max_iters=max_iters)
+    inner = simplex_solve(LPProblem(c, A, rel, b, np.zeros(n, dtype=bool)))
     if inner.status == INFEASIBLE:
         raise EpsTooSmall(f"eps={eps} leaves no feasible degree-{N} vector for h={h.p}/{h.q}")
+    meta = {"N": N, "grid": M, "eps": eps}
     if inner.status != OPTIMAL:
-        return LPResult(inner.status, None, None, inner.iterations,
-                        meta={"N": N, "grid": M, "eps": eps})
-    return LPResult(OPTIMAL, float(-inner.value), inner.solution, inner.iterations,
-                    meta={"N": N, "grid": M, "eps": eps})
+        return LPResult(inner.status, None, None, inner.iterations, meta=meta)
+    return LPResult(OPTIMAL, float(-inner.value), inner.solution, inner.iterations, meta=meta)
 
 
 # pocketfft's error on these transforms, Bluestein lengths included, was

@@ -33,7 +33,10 @@ from .core import (
     dilate_support,
     eval_cospoly,
     is_subset,
+    periodic_block,
 )
+from .extremal import build_extremal
+from .kernels import fejer
 from .lp import OPTIMAL, delta_grid_lp
 
 _PAIR_TOL = 1e-9
@@ -53,7 +56,8 @@ class LPNotOptimal(ValueError):
     """A grid LP behind a property check ended without an optimal value."""
 
 
-def _grid_value(K: FiniteSupport, M: int) -> float:
+def grid_value(K: FiniteSupport, M: int) -> float:
+    """Value of delta_grid_lp(K, M); LPNotOptimal when the LP ends without one."""
     res = delta_grid_lp(K, M)
     if res.status != OPTIMAL:
         raise LPNotOptimal(f"grid LP for {len(K)} frequencies at M={M} ended with "
@@ -112,13 +116,12 @@ def pairing_check(T: CosPoly, f: CosPoly, h: RationalCutoff) -> tuple[float, flo
         raise PreconditionViolated("f must have nonnegative coefficients")
     if abs(float(a.sum()) - 1.0) > 1e-12:
         raise PreconditionViolated("f(0) must equal 1")
-    block = set(range(h.p, q - h.p + 1))
-    deg_T = T.degree
+    K = periodic_block(h)
     for k in np.nonzero(T.coeffs)[0]:
-        if k >= 1 and (k % q) not in block:
+        if k >= 1 and k not in K:
             raise PreconditionViolated(f"T has frequency {int(k)} outside the periodic block")
-    for k in range(1, deg_T + 1):
-        if (k % q) in block and abs(eval_cospoly(f, k / q)) > 1e-12:
+    for k in range(1, T.degree + 1):
+        if k in K and abs(eval_cospoly(f, k / q)) > 1e-12:
             raise PreconditionViolated(f"f({k}/{q}) != 0 on the support block")
     lhs = float(T.coeffs[0])
     n = np.arange(len(a))
@@ -126,12 +129,29 @@ def pairing_check(T: CosPoly, f: CosPoly, h: RationalCutoff) -> tuple[float, flo
     return lhs, rhs
 
 
+def pairing_report(h: RationalCutoff) -> CheckReport:
+    """Pairing identity for the extremal T* of h against the Fejer kernel of order q.
+
+    Values are [T0, sum_n a_n T(n/q), a0]; the check passes when both sides
+    agree and a0 <= T0, each to _PAIR_TOL.
+    """
+    f = fejer(h.q)
+    lhs, rhs = pairing_check(build_extremal(h.p, h.q), f, h)
+    a0 = float(f.coeffs[0])
+    return CheckReport(
+        check="pairing",
+        inputs={"p": h.p, "q": h.q},
+        values=[lhs, rhs, a0],
+        passed=abs(lhs - rhs) <= _PAIR_TOL and a0 <= lhs + _PAIR_TOL,
+    )
+
+
 def check_monotonicity(K1: FiniteSupport, K2: FiniteSupport, M: int) -> CheckReport:
     """Property: K1 inside K2 implies delta(K1) >= delta(K2), exact per grid."""
     if not is_subset(K1, K2, max(K1.elements + K2.elements)):
         raise NotASubset(f"{list(K1.elements)} is not a subset of {list(K2.elements)}")
-    v1 = _grid_value(K1, M)
-    v2 = _grid_value(K2, M)
+    v1 = grid_value(K1, M)
+    v2 = grid_value(K2, M)
     return CheckReport(
         check="monotonicity",
         inputs={"K1": list(K1.elements), "K2": list(K2.elements), "grid": M},
@@ -142,8 +162,8 @@ def check_monotonicity(K1: FiniteSupport, K2: FiniteSupport, M: int) -> CheckRep
 
 def check_dilation(K: FiniteSupport, m: int, M: int) -> CheckReport:
     """Property: delta(mK) = delta(K); the grid dilates with the set."""
-    v1 = _grid_value(K, M)
-    v2 = _grid_value(dilate_support(K, m), m * M)
+    v1 = grid_value(K, M)
+    v2 = grid_value(dilate_support(K, m), m * M)
     return CheckReport(
         check="dilation",
         inputs={"K": list(K.elements), "m": m, "grid": M},
@@ -156,7 +176,7 @@ def check_divisibility_bound(K: FiniteSupport, m: int, M: int) -> CheckReport:
     """Property: delta of the multiples-of-m part is at most m*delta(K);
     when K holds no multiple of m at all, delta(K) >= 1/m."""
     mult = [k for k in K.elements if k % m == 0]
-    v = _grid_value(K, M)
+    v = grid_value(K, M)
     if not mult:
         return CheckReport(
             check="divisibility",
@@ -164,7 +184,7 @@ def check_divisibility_bound(K: FiniteSupport, m: int, M: int) -> CheckReport:
             values=[v, 1.0 / m],
             passed=v >= 1.0 / m - _VALUE_TOL,
         )
-    vm = _grid_value(FiniteSupport(tuple(mult)), M)
+    vm = grid_value(FiniteSupport(tuple(mult)), M)
     return CheckReport(
         check="divisibility",
         inputs={"K": list(K.elements), "m": m, "grid": M, "multiples": mult},
@@ -176,9 +196,9 @@ def check_divisibility_bound(K: FiniteSupport, m: int, M: int) -> CheckReport:
 def check_supermultiplicative(K1: FiniteSupport, K2: FiniteSupport, M: int) -> CheckReport:
     """Property: delta(K1) * delta(K2) <= delta(K1 union K2)."""
     union = FiniteSupport(tuple(sorted(set(K1.elements) | set(K2.elements))))
-    v1 = _grid_value(K1, M)
-    v2 = _grid_value(K2, M)
-    vu = _grid_value(union, M)
+    v1 = grid_value(K1, M)
+    v2 = grid_value(K2, M)
+    vu = grid_value(union, M)
     return CheckReport(
         check="supermultiplicative",
         inputs={"K1": list(K1.elements), "K2": list(K2.elements), "grid": M},

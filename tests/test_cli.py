@@ -152,6 +152,14 @@ class TestTable:
     def test_empty_range_exit_2(self, capsys):
         assert run(capsys, "table", "--p", "3", "--qmin", "9", "--qmax", "9")[0] == 2
 
+    def test_non_optimal_lp_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(properties, "delta_grid_lp",
+                            lambda K, M: LPResult(ITERATION_LIMIT, None, None, 100000))
+        rc, out, err = run(capsys, "table", "--p", "1", "--qmin", "2", "--qmax", "4",
+                           "--with-lp", "--grid", "256")
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and "LPNotOptimal" in err and "IterationLimit" in err
+
 
 class TestCheck:
     def test_mono(self, capsys):

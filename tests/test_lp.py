@@ -125,6 +125,47 @@ class TestSimplex:
         assert r1.value == r2.value
 
 
+@st.composite
+def small_lps(draw):
+    # small integer data keeps every status decision far from the tolerances
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return lp(draw(row),
+              draw(st.lists(row, min_size=m, max_size=m)),
+              draw(st.lists(st.sampled_from(["<=", ">=", "="]), min_size=m, max_size=m)),
+              draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m)),
+              draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+def highs(prob):
+    """(status, value) of prob from HiGHS, with the same status names."""
+    rel = np.array(prob.relations)
+    le, ge, eq = rel == "<=", rel == ">=", rel == "="
+    A_ub = np.vstack([prob.A[le], -prob.A[ge]])
+    b_ub = np.concatenate([prob.b[le], -prob.b[ge]])
+    # HiGHS presolve can call a feasible unbounded LP "infeasible"; its simplex does not
+    ref = linprog(prob.c, A_ub=A_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
+                  A_eq=prob.A[eq] if eq.any() else None, b_eq=prob.b[eq] if eq.any() else None,
+                  bounds=[(None, None) if f else (0, None) for f in prob.free],
+                  method="highs", options={"presolve": False})
+    return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status], ref.fun
+
+
+class TestSimplexProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(small_lps())
+    def test_matches_highs(self, prob):
+        res = simplex_solve(prob)
+        status, value = highs(prob)
+        assert res.status == status
+        if status == OPTIMAL:
+            assert res.value == pytest.approx(value, abs=1e-7)
+            assert res.meta["duality_gap"] <= 1e-7
+            r = prob.A @ res.solution - prob.b
+            viol = [{"<=": ri, ">=": -ri, "=": abs(ri)}[rel] for ri, rel in zip(r, prob.relations)]
+            assert res.meta["max_violation"] == max([0.0] + viol)
+
+
 class TestDeltaGrid:
     def test_single_frequency_calculus_oracle(self):
         # min T0 with T0 + T1 = 1 and T0 + T1 cos >= 0: optimum T = (1+cos)/2,

@@ -16,6 +16,7 @@ from turanvdc.properties import (
     check_monotonicity,
     check_supermultiplicative,
     pairing_check,
+    pairing_report,
     vdc_verdict,
 )
 
@@ -59,6 +60,15 @@ class TestPairing:
         T = CosPoly([0.5, 0.5])        # frequency 1 outside the (2,5) block
         with pytest.raises(PreconditionViolated):
             pairing_check(T, fejer(5), make_cutoff(2, 5))
+
+    @pytest.mark.parametrize("p, q", [(1, 5), (2, 7), (3, 10)])
+    def test_report_matches_identity(self, p, q):
+        h = make_cutoff(p, q)
+        rep = pairing_report(h)
+        lhs, rhs = pairing_check(build_extremal(p, q), fejer(q), h)
+        assert rep.check == "pairing" and rep.inputs == {"p": p, "q": q}
+        assert rep.values == [lhs, rhs, float(fejer(q).coeffs[0])]
+        assert rep.passed
 
 
 class TestMonotonicity:
