@@ -8,7 +8,7 @@ digits, so identical flags give byte-identical bytes.
 
 Exit codes: 0 success / check passed, 1 check failed, 2 invalid input or a
 grid LP without an optimal value under `check` or `table --with-lp` (`delta`
-prints the status, and the `vdc` verdict stays Inconclusive).
+prints the status).
 """
 from __future__ import annotations
 

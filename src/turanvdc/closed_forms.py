@@ -9,14 +9,16 @@ Four families are covered:
                             r0 = floor(q/3)
   q = 2p + 1, p >= 1:       A(p/(2p+1)) = cos(pi/(2p+1)) / (1 + cos(pi/(2p+1)))
 
-For p in {2, 3} the same value arises as 1/(q gamma0) where the gammas solve
-the small interpolation system Gamma(0) = 1, Gamma(j) = 0 for j = 1..p-1,
-with Gamma(nu) = gamma0 + sum_i gamma_{i+1} cos(2 pi r_i nu / q).  Agreement
-of the two routes is the central cross-check of this module.
-
-The p = 2 system uses the single shift r0 = (q-1)/2, so that
-cos(2 pi r0/q) = -cos(pi/q); this reproduces the stated A(2/q) and is
-validated by the test suite rather than asserted as canonical.
+For every coprime p, q the interpolation system gives 1/(q gamma0), where the
+gammas solve Gamma(0) = 1, Gamma(j) = 0 for j = 1..p-1, with
+Gamma(nu) = gamma0 + sum_i gamma_{i+1} cos(2 pi r_i nu / q).  The p - 1
+shifts follow one rule: floor(qj/p) and floor(qj/p) + 1 for
+j = 1..ceil(p/2) - 1, plus floor(q/2) when p is even.  p = 1 has no shift
+and gamma = (1,).  For p = 2 the rule gives r0 = (q-1)/2, so that
+cos(2 pi r0/q) = -cos(pi/q), and for p = 3 it gives (floor(q/3),
+floor(q/3) + 1).  On the four families the two routes agree; that agreement
+is the central cross-check of this module.  The rule itself is a numerical
+finding, guarded at run time by gamma > 0.
 """
 from __future__ import annotations
 
@@ -46,20 +48,28 @@ _RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GammaSolution:
-    """Solved interpolation coefficients and the value A = 1/(q gamma0)."""
+    """Solved interpolation coefficients and the value a_value = 1/(q gamma0).
+
+    On the four closed-form families a_value is A(p/q).  Elsewhere it is, to
+    rounding, the constant term t0 of `extremal.build_extremal(p, q)`; when
+    that polynomial passes the membership certificate it lies in the
+    admissible class, so a_value bounds delta(K) of the block, and hence
+    A(p/q), from above.  That it equals A(p/q) is a numerical finding, not a
+    claim.  r0 is the first shift, None when there is none (p = 1).
+    """
 
     p: int
     q: int
-    r0: int
+    r0: int | None
     shifts: tuple[int, ...]
     gammas: tuple[float, ...]
     a_value: float
 
-    def gamma_at(self, nu: float) -> float:
-        """Gamma(nu) = gamma0 + sum_i gamma_{i+1} cos(2 pi shift_i nu / q)."""
-        acc = self.gammas[0]
+    def gamma_at(self, nu) -> np.ndarray:
+        """Gamma(nu) = gamma0 + sum_i gamma_{i+1} cos(2 pi shift_i nu / q), elementwise."""
+        acc = np.full(np.shape(nu), self.gammas[0])
         for r, g in zip(self.shifts, self.gammas[1:]):
-            acc += g * math.cos(2.0 * math.pi * r * nu / self.q)
+            acc += g * np.cos(2.0 * np.pi * r * nu / self.q)
         return acc
 
     def to_json_dict(self) -> dict:
@@ -119,25 +129,21 @@ def turan_value(p: int, q: int) -> float:
 
 
 def solve_gamma(p: int, q: int) -> GammaSolution:
-    """Solve the interpolation system for p in {2, 3} and return the gammas.
+    """Solve the p x p system Gamma(0) = 1, Gamma(1..p-1) = 0 and return the gammas.
 
-    p = 3 uses shifts (r0, r0+1) with r0 = floor(q/3) and the 3x3 system
-    Gamma(0) = 1, Gamma(1) = Gamma(2) = 0; p = 2 uses the single shift
-    r0 = (q-1)/2 and the 2x2 system Gamma(0) = 1, Gamma(1) = 0.
+    The shifts are floor(qj/p) and floor(qj/p) + 1 for j = 1..ceil(p/2) - 1,
+    plus floor(q/2) when p is even; p = 1 has none.
 
     Raises SingularSystem when the solve residual exceeds tolerance and
     NonPositiveGamma when any coefficient fails strict positivity (the
-    runtime guard for q outside the family's validity range).
+    runtime guard for (p, q) where the rule does not give a valid system).
     """
     p, q = _validate_pq(p, q)
-    if p == 2 and q % 2 == 1 and q >= 3:
-        r0 = (q - 1) // 2
-        shifts = (r0,)
-    elif p == 3 and q >= 7 and q % 3 != 0:
-        r0 = q // 3
-        shifts = (r0, r0 + 1)
-    else:
-        raise UnsupportedCase(f"gamma system defined for p in {{2, 3}}, got p={p}, q={q}")
+    shifts = []
+    for j in range(1, (p + 1) // 2):
+        shifts += [q * j // p, q * j // p + 1]
+    if p % 2 == 0:
+        shifts.append(q // 2)
 
     n = len(shifts) + 1
     M = np.ones((n, n))
@@ -158,8 +164,8 @@ def solve_gamma(p: int, q: int) -> GammaSolution:
     return GammaSolution(
         p=p,
         q=q,
-        r0=shifts[0],
-        shifts=shifts,
+        r0=shifts[0] if shifts else None,
+        shifts=tuple(shifts),
         gammas=tuple(float(x) for x in g),
         a_value=1.0 / (q * float(g[0])),
     )

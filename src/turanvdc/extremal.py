@@ -1,15 +1,17 @@
 """Construction and verification of the extremal polynomials.
 
-For p = 1 the extremal polynomial is the Fejer kernel itself.  For p in
-{2, 3} it is the positive combination of shifted Fejer kernels
+For coprime p, q the extremal polynomial is the positive combination of
+shifted Fejer kernels
 
     T*(x) = F(x) + sum_i (gamma_{i+1} / (2 gamma0)) (F(x + r_i/q) + F(x - r_i/q)),
 
-whose coefficient form is t_nu = Gamma(nu) F_nu / gamma0.  Since Gamma
-vanishes at 1..p-1 (and by symmetry at q-p+1..q-1), the support lands inside
-the block {p, ..., q-p}; since every shift r_i is an integer in (0, q/2),
-all shifted kernels vanish at 0 and T*(0) = F(0) = 1.  The constant term is
-F_0 / gamma0 = 1/(q gamma0), the closed-form extremal value.
+with the shifts r_i and weights gamma of `closed_forms.solve_gamma`; for
+p = 1 there is no shift and T* is the Fejer kernel itself.  Its coefficient
+form is t_nu = Gamma(nu) F_nu / gamma0.  Since Gamma vanishes at 1..p-1 (and
+by symmetry at q-p+1..q-1), the support lands inside the block {p, ..., q-p};
+since every shift r_i is an integer in (0, q/2), all shifted kernels vanish
+at 0 and T*(0) = F(0) = 1.  The constant term is F_0 / gamma0 = 1/(q gamma0),
+the closed-form extremal value where one exists.
 
 Membership in the admissible class (support, normalization, nonnegativity)
 is checked numerically; nonnegativity via the grid certificate from `lp`,
@@ -22,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import UnsupportedCase, solve_gamma
+from .closed_forms import solve_gamma
 from .core import CosPoly, SupportSet
 from .kernels import fejer, fejer_closed
 from .lp import lipschitz_certify
 
 # coefficients at or below this magnitude are snapped to exact zero so that
-# solver-tolerance leftovers at Gamma(1), Gamma(2) do not pollute the support
+# solver-tolerance leftovers at Gamma(1..p-1) do not pollute the support
 _SNAP_TOL = 1e-12
 
 _T0_TOL = 1e-9
@@ -68,26 +70,15 @@ class MembershipReport:
 
 
 def build_extremal(p: int, q: int) -> CosPoly:
-    """Extremal polynomial for the block {p, ..., q-p}, p in {1, 2, 3}.
+    """Extremal polynomial for the block {p, ..., q-p}.
 
-    p = 1 returns the Fejer kernel unchanged; p in {2, 3} returns the
-    shifted-kernel combination in coefficient form, with solver-noise
-    coefficients snapped to zero.  The constant term equals the closed-form
-    value 1/(q gamma0), where gamma0 is read as 1/q when p = 1.
+    Returns the shifted-kernel combination in coefficient form,
+    t = Gamma(nu) F_nu / gamma0 for nu = 0..q-1, with solver-noise
+    coefficients snapped to zero; p = 1 gives the Fejer kernel unchanged.
+    The constant term is 1/(q gamma0).  Raises what `solve_gamma` raises.
     """
-    if p == 1:
-        if q < 2:
-            raise UnsupportedCase(f"need q >= 2, got q={q}")
-        return fejer(q)
-    if p not in (2, 3):
-        raise UnsupportedCase(f"no construction for p={p} (only p <= 3)")
     sol = solve_gamma(p, q)
-    F = fejer(q).coeffs
-    nu = np.arange(q)
-    gamma = np.full(q, sol.gammas[0])
-    for r, g in zip(sol.shifts, sol.gammas[1:]):
-        gamma += g * np.cos(2.0 * np.pi * r * nu / q)
-    t = gamma * F / sol.gammas[0]
+    t = sol.gamma_at(np.arange(q)) * fejer(q).coeffs / sol.gammas[0]
     t[np.abs(t) <= _SNAP_TOL] = 0.0
     return CosPoly(t)
 
@@ -116,7 +107,7 @@ def verify_membership(T: CosPoly, K: SupportSet, grid_size: int) -> MembershipRe
 
 
 def verify_t_at_zero_shifts(p: int, q: int) -> bool:
-    """Confirm the shift geometry that forces T*(0) = F(0) = 1 for p in {2, 3}.
+    """Confirm the shift geometry that forces T*(0) = F(0) = 1.
 
     True iff every shift r is an integer strictly inside (0, q/2), the
     closed-form kernel vanishes at r/q to 1e-18, and the constructed

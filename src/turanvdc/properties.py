@@ -13,10 +13,11 @@ kernel qualifies) because only the values f(k/q) enter the identity.
 Set laws checked at the grid-LP level: monotonicity under inclusion (exact
 on a common grid, since more variables can only lower the minimum), dilation
 invariance with a correspondingly dilated grid, the divisibility bound, and
-supermultiplicativity on unions.  A check whose grid LP ends without an
-optimal value raises LPNotOptimal, naming the status.  The van der Corput
-verdict never claims delta = 0 numerically: it reports a positive certified
-lower bound when one is available and stays inconclusive otherwise.
+supermultiplicativity on unions.  A check or verdict whose grid LP ends
+without an optimal value raises LPNotOptimal, naming the status.  The van
+der Corput verdict never claims delta = 0 numerically: it reports a positive
+certified lower bound when one is available and stays inconclusive
+otherwise.
 """
 from __future__ import annotations
 
@@ -217,18 +218,17 @@ def vdc_verdict(K: SupportSet, lower_bound: float | None = None, M: int = 2048) 
 
     With no bound supplied one is derived: for finite K the grid-LP value
     (itself a lower bound on delta over polynomials supported in K, shaved
-    by a small safety margin), and for a periodic set with base avoiding 0
-    mod q the divisibility argument gives delta >= 1/q.  There is no
-    "IsVanDerCorput" label; delta(K) = 0 is never claimed numerically.
+    by a small safety margin; LPNotOptimal when the LP ends without one),
+    and for a periodic set with base avoiding 0 mod q the divisibility
+    argument gives delta >= 1/q.  There is no "IsVanDerCorput" label;
+    delta(K) = 0 is never claimed numerically.
     """
     if lower_bound is None:
         if isinstance(K, PeriodicSupport):
             # base lies in [1, q-1], so K has no multiple of q
             lower_bound = 1.0 / K.q
         else:
-            M = max(M, 2 * max(K.elements))
-            res = delta_grid_lp(K, M)
-            lower_bound = None if res.value is None else res.value - _BOUND_MARGIN
-    if lower_bound is not None and lower_bound > 0.0:
+            lower_bound = grid_value(K, max(M, 2 * max(K.elements))) - _BOUND_MARGIN
+    if lower_bound > 0.0:
         return Verdict("NotVanDerCorput", float(lower_bound))
     return Verdict("Inconclusive")

@@ -4,9 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,10 +167,14 @@ def test_criterion_10_determinism():
         ["table", "--p", "1", "--qmin", "2", "--qmax", "6", "--format", "csv"],
         ["check", "--property", "pairing", "--pq", "3,10"],
     ]
+    # the children import turanvdc from src/, as the test process does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
     for argv in commands:
         outs = [
             subprocess.run([sys.executable, "-m", "turanvdc", *argv],
-                           capture_output=True, check=True).stdout
+                           capture_output=True, check=True, env=env).stdout
             for _ in range(2)
         ]
         assert outs[0] == outs[1], argv

@@ -128,7 +128,12 @@ class TestExtremal:
         assert json.loads(out)["certified_min"] < -1e-9
 
     def test_invalid_input_exit_2(self, capsys):
-        assert run(capsys, "extremal", "--p", "4", "--q", "11")[0] == 2
+        rc, _, err = run(capsys, "extremal", "--p", "2", "--q", "4")
+        assert rc == 2 and "NotCoprime" in err
+
+    def test_p4(self, capsys):
+        rc, out, _ = run(capsys, "extremal", "--p", "4", "--q", "11")
+        assert rc == 0 and json.loads(out)["support_ok"] is True
 
 
 class TestTable:
@@ -216,6 +221,13 @@ class TestCheck:
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and "LPNotOptimal" in err and "IterationLimit" in err
 
+    def test_vdc_non_optimal_lp_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(properties, "delta_grid_lp",
+                            lambda K, M: LPResult(ITERATION_LIMIT, None, None, 100000))
+        rc, out, err = run(capsys, "check", "--property", "vdc", "--set", "2,3")
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and "LPNotOptimal" in err and "IterationLimit" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -229,3 +241,36 @@ class TestDeterminism:
         rc2, out2, _ = run(capsys, *argv)
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+
+class TestPinnedBytes:
+    """Exact output bytes, so that a last-bit drift in the gamma system fails.
+
+    `extremal` stdout is left out: its certified_min follows the FFT
+    library's rounding.
+    """
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("turan", "--p", "2", "--q", "5"),
+         '{"p": 2, "q": 5, "r0": 2, "shifts": [2], '
+         '"gammas": [0.44721359549995798, 0.55278640450004202], "A": 0.44721359549995793}\n'),
+        (("turan", "--p", "3", "--q", "10"),
+         '{"p": 3, "q": 10, "r0": 3, "shifts": [3, 4], '
+         '"gammas": [0.31671842700025238, 0.47213595499957933, 0.21114561800016829], '
+         '"A": 0.31573786516665264}\n'),
+        (("check", "--property", "pairing", "--pq", "3,10"),
+         '{"check": "pairing", "inputs": {"p": 3, "q": 10}, '
+         '"values": [0.31573786516665264, 0.31573786516665253, 0.10000000000000001], '
+         '"pass": true}\n'),
+    ])
+    def test_stdout(self, capsys, argv, expected):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and out == expected
+
+    def test_extremal_out_file(self, capsys, tmp_path):
+        out_file = tmp_path / "t310.json"
+        assert run(capsys, "extremal", "--p", "3", "--q", "10", "--out", str(out_file))[0] == 0
+        assert out_file.read_text() == (
+            '{"degree": 9, "coeffs": [0.31573786516665264, 0, 0, 0.33768317228332345, '
+            '0.11055728090000841, 0.017595468166680724, 0.073704853933338907, '
+            '0.14472135954999582, 0, 0]}\n')

@@ -111,13 +111,14 @@ class TestSolveGamma:
         with pytest.raises(NotCoprime):
             solve_gamma(3, 9)
 
-    def test_rejects_out_of_family(self):
-        with pytest.raises(UnsupportedCase):
-            solve_gamma(1, 7)
-        with pytest.raises(UnsupportedCase):
-            solve_gamma(3, 5)
-        with pytest.raises(UnsupportedCase):
-            solve_gamma(5, 11)       # q = 2p + 1 has a value but no gamma system
+    def test_outside_p2_p3_families(self):
+        sol = solve_gamma(1, 7)
+        assert sol.gammas == (1.0,) and sol.shifts == () and sol.r0 is None
+        assert sol.a_value == 1 / 7
+        # q = 2p + 1 closed form
+        assert solve_gamma(5, 11).a_value == pytest.approx(turan_value(5, 11), abs=1e-12)
+        # h = 3/5 > 1/2, where A = 1
+        assert solve_gamma(3, 5).a_value == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("q", admissible_p3(50))
     def test_p3_cross_check(self, q):

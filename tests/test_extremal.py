@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from turanvdc.closed_forms import UnsupportedCase, solve_gamma, turan_value
+from turanvdc.closed_forms import solve_gamma, turan_value
 from turanvdc.core import CosPoly, block_support, eval_cospoly, finite_support, make_cutoff
 from turanvdc.extremal import build_extremal, verify_membership, verify_t_at_zero_shifts
 from turanvdc.kernels import fejer, fejer_closed
@@ -59,9 +59,13 @@ class TestBuildExtremal:
             T = build_extremal(p, q)
             assert float(T.coeffs.sum()) == pytest.approx(1.0, abs=1e-10)
 
-    def test_rejects_large_p(self):
-        with pytest.raises(UnsupportedCase):
-            build_extremal(4, 9)
+    def test_p4_block(self):
+        T = build_extremal(4, 9)
+        support = [int(k) for k in np.nonzero(T.coeffs)[0] if k >= 1]
+        assert support == [4, 5]
+        assert T.coeffs[0] == pytest.approx(turan_value(4, 9), abs=1e-12)
+        block = block_support(make_cutoff(4, 9))
+        assert verify_membership(T, block, certification_grid(T)).passes
 
     @pytest.mark.parametrize("p,q", admissible_pairs(30))
     def test_t0_matches_closed_form(self, p, q):
@@ -141,12 +145,38 @@ class TestSandwich:
         assert gaps[0] >= gaps[1] - 1e-12 >= gaps[2] - 2e-12
 
     def test_p4_two_coefficient_extremal_via_lp(self):
-        # no construction for p >= 4; the LP recovers the two-coefficient
-        # optimum on {p, p+1} and meets the q = 2p + 1 value
+        # the LP alone recovers the two-coefficient optimum on {p, p+1}
+        # and meets the q = 2p + 1 value
         for p in (4, 5):
             q = 2 * p + 1
             v = delta_grid_lp(finite_support([p, p + 1]), 2048).value
             assert v == pytest.approx(turan_value(p, q), abs=2e-3)
+
+    @pytest.mark.parametrize("p,q", [(4, 11), (5, 17), (7, 30)])
+    def test_shift_rule_meets_grid_lp(self, p, q):
+        t0 = build_extremal(p, q).coeffs[0]
+        v = delta_grid_lp(block_support(make_cutoff(p, q)), 2048).value
+        assert v <= t0 + 1e-9
+        assert t0 - v <= 1e-4
+
+
+class TestShiftRule:
+    @pytest.mark.parametrize("p", range(4, 9))
+    def test_every_coprime_q(self, p):
+        for q in range(2 * p, 41):
+            if math.gcd(p, q) != 1:
+                continue
+            sol = solve_gamma(p, q)
+            assert len(sol.shifts) == p - 1 and all(g > 0 for g in sol.gammas), (p, q)
+            assert all(isinstance(r, int) and 0 < r < q / 2 for r in sol.shifts), (p, q)
+            T = build_extremal(p, q)
+            assert all(p <= k <= q - p for k in np.nonzero(T.coeffs)[0] if k >= 1), (p, q)
+            assert abs(float(T.coeffs.sum()) - 1.0) <= 1e-12, (p, q)
+            assert T.coeffs[0] == pytest.approx(1.0 / (q * sol.gammas[0]), abs=1e-12)
+            block = block_support(make_cutoff(p, q))
+            assert verify_membership(T, block, certification_grid(T)).passes, (p, q)
+            if q == 2 * p + 1:
+                assert T.coeffs[0] == pytest.approx(turan_value(p, q), abs=1e-12)
 
 
 def test_certification_grid_certifies_all_admissible():
