@@ -94,15 +94,25 @@ def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
 def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     """Two-phase dense tableau simplex.
 
+    Starting basis: after rows with b < 0 flip sign, a row whose slack
+    enters with +1 (<= with b >= 0, >= with b < 0) starts with that slack
+    basic; every other row (=, and inequalities whose slack enters with -1)
+    gets an artificial column, and phase 1 minimizes the sum of those
+    artificials only.  An all-equality LP therefore starts from the full
+    artificial identity.  Row i's starting column stays B^-1 e_i throughout.
+
     Entering column: most negative reduced cost, lowest index on ties;
     after a run of degenerate pivots Bland's anti-cycling rule (lowest
     eligible index) takes over until progress resumes, which guarantees
-    termination.  Leaving row: lexicographic minimum ratio, final ties
-    broken by lowest basic variable index.  Everything is deterministic for
-    identical inputs.
+    termination.  An artificial that leaves the basis never re-enters.
+    Leaving row: lexicographic minimum ratio over [b | B^-1], B^-1 read
+    from the starting-basis columns in row order, final ties broken by
+    lowest basic variable index.  Everything is deterministic for identical
+    inputs.
 
     Returns status Optimal / Infeasible / Unbounded / IterationLimit.  On
-    Optimal, duals holds one multiplier per constraint row, and meta records
+    Optimal, duals holds one multiplier per constraint row, read from the
+    reduced costs at the starting-basis columns, and meta records
     the solution's largest constraint violation and the duality gap; these
     residuals are reported, not enforced, so callers that need a feasible
     point must check them.
@@ -122,35 +132,43 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     slack = sense * sign
     srows = np.nonzero(slack)[0]
     ns = len(srows)
+    # a +1 slack is a feasible basic variable at b >= 0; other rows need an artificial
+    arows = np.nonzero(slack <= 0.0)[0]
+    na = len(arows)
     art0 = nx + ns
-    total = art0 + m + 1
+    total = art0 + na + 1
     # rows 0..m-1 are the constraints, row m the objective (reduced costs,
     # minus the objective value in the last column)
     T = np.zeros((m + 1, total))
     T[:m, :nx] = A * sign[:, None]
     T[srows, nx + np.arange(ns)] = slack[srows]
-    T[:m, art0:art0 + m] = np.eye(m)
+    T[arows, art0 + np.arange(na)] = 1.0
     T[:m, -1] = prob.b * sign
-    basis = np.arange(art0, art0 + m)
+    # ident[i]: row i's starting basic column, which keeps B^-1 e_i
+    ident = np.empty(m, dtype=np.intp)
+    ident[srows] = nx + np.arange(ns)       # the slack, where it is a feasible start;
+    ident[arows] = art0 + np.arange(na)     # the artificial, overwriting a -1 slack
+    basis = ident.copy()
     # an artificial that leaves the basis may not re-enter
     eligible = np.ones(total - 1, dtype=bool)
-    eligible[art0:art0 + m] = False
+    eligible[art0:] = False
     iters = 0
 
     def leave_row(j: int, pos: np.ndarray) -> int:
-        # lexicographic ratio test over [b | B^-1]: the artificial block tracks
-        # B^-1 exactly, so breaking ratio ties by those columns reproduces the
-        # classic anti-cycling rule; final ties fall back to lowest basis index
+        # lexicographic ratio test over [b | B^-1]: the starting-basis columns
+        # track B^-1 exactly, so breaking ratio ties by them in row order
+        # reproduces the classic anti-cycling rule; final ties fall back to
+        # lowest basis index
         ties, colj = pos, T[pos, j]
         vals = np.maximum(T[pos, -1], 0.0) / colj
-        lexcol = art0
+        k = 0
         while True:
             keep = vals <= vals.min() + _RATIO_TIE_TOL
             ties, colj = ties[keep], colj[keep]
-            if len(ties) == 1 or lexcol == art0 + m:
+            if len(ties) == 1 or k == m:
                 return int(ties[np.argmin(basis[ties])])
-            vals = T[ties, lexcol] / colj
-            lexcol += 1
+            vals = T[ties, ident[k]] / colj
+            k += 1
 
     def run_phase() -> str:
         nonlocal iters
@@ -174,9 +192,10 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
             _pivot(T, basis, pr, j)
             iters += 1
 
-    # phase 1: minimize the sum of artificials (unit costs, basis = artificials)
-    T[m] = -T[:m].sum(axis=0)
-    T[m, art0:art0 + m] = 0.0
+    # phase 1: minimize the sum of artificials (unit costs, priced out over
+    # their rows); when every row has one, sum the view instead of a copy
+    T[m] = -(T[:m] if na == m else T[arows]).sum(axis=0)
+    T[m, art0:-1] = 0.0
     status = run_phase()
     if status == ITERATION_LIMIT:
         return LPResult(ITERATION_LIMIT, None, None, iters)
@@ -207,8 +226,8 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     x[free_idx] -= xfull[n:nx]
     value = float(prob.c @ x)
 
-    # multipliers: reduced cost at the artificial (identity) columns is -pi
-    duals = -T[m, art0:art0 + m] * sign
+    # multipliers: reduced cost at the starting-basis (identity) columns is -pi
+    duals = -T[m, ident] * sign
 
     # residual r = Ax - b violates <= when positive, >= when negative, = when nonzero
     r = prob.A @ x - prob.b
@@ -307,6 +326,12 @@ def turan_relaxed_lp(h: RationalCutoff, N: int, M: int, eps: float) -> LPResult:
     A convergent estimate of the Turan value, not a one-sided bound; the
     (N, M, eps) parameters travel with the result in meta.  Raises
     EpsTooSmall when the tube admits no degree-N coefficient vector.
+
+    For a rational cutoff the library has A(p/q) without a grid:
+    `closed_forms.turan_value(p, q)` on the closed-form families, and
+    `closed_forms.solve_gamma(p, q).a_value` for the coprime p, q whose
+    gamma system solves (see `GammaSolution` for what that value
+    certifies).  This estimator is the slow, approximate route.
     """
     if N < h.q:
         raise ValueError(f"need N >= q, got N={N}, q={h.q}")

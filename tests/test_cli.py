@@ -244,7 +244,8 @@ class TestDeterminism:
 
 
 class TestPinnedBytes:
-    """Exact output bytes, so that a last-bit drift in the gamma system fails.
+    """Exact output bytes, so that a last-bit drift in the gamma system or a
+    changed pivot path of the all-equality grid LP fails.
 
     `extremal` stdout is left out: its certified_min follows the FFT
     library's rounding.
@@ -262,6 +263,21 @@ class TestPinnedBytes:
          '{"check": "pairing", "inputs": {"p": 3, "q": 10}, '
          '"values": [0.31573786516665264, 0.31573786516665253, 0.10000000000000001], '
          '"pass": true}\n'),
+        (("delta", "--set", "2,3", "--grid", "2048"),
+         '{"status": "Optimal", "value": 0.44721331651423213, '
+         '"coeffs": [0.44721331651423213, 0.33209177325093525, 0.2206949102348327], '
+         '"grid": 2048, "iterations": 13}\n'),
+        (("delta", "--pq", "1,3", "--periods", "1", "--grid", "512"),
+         '{"status": "Optimal", "value": 0.33331839980361722, '
+         '"coeffs": [0.33331839980361722, 0.22543361826268685, -0.081161739680194758, '
+         '0.24784333987657614, 0.2745663817373134], "grid": 512, "iterations": 17}\n'),
+        (("table", "--p", "3", "--qmin", "7", "--qmax", "12", "--with-lp", "--grid", "1024",
+          "--format", "csv"),
+         "q,A,gamma0,lp,gap\n"
+         "7,0.47395245819915643,0.30141660916782037,0.47394900814216939,3.4500569870421494e-06\n"
+         "8,0.42677669529663692,0.29289321881345243,0.42677669529663698,-5.5511151231257827e-17\n"
+         "10,0.3157378651666527,0.31671842700025232,0.31573392025378094,3.9449128717561344e-06\n"
+         "11,0.28970505819852443,0.3137987699434443,0.28970107243069787,3.9857678265642349e-06\n"),
     ])
     def test_stdout(self, capsys, argv, expected):
         rc, out, _ = run(capsys, *argv)

@@ -60,6 +60,13 @@ class TestSimplex:
         assert res.status == OPTIMAL
         assert res.value == pytest.approx(-5.0, abs=1e-9)
 
+    def test_slack_start(self):
+        # every row's slack is a feasible start, and the slack basis is optimal
+        res = simplex_solve(lp([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], ["<=", "<="], [4.0, 5.0]))
+        assert res.status == OPTIMAL
+        assert res.value == 0.0 and res.iterations == 0
+        assert np.array_equal(res.duals, [0.0, 0.0])
+
     def test_iteration_limit(self):
         res = simplex_solve(lp([-1.0, -1.0], [[1.0, 2.0], [2.0, 1.0]], ["<=", "<="], [4.0, 4.0]),
                             max_iters=1)
@@ -152,6 +159,16 @@ def highs(prob):
     return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status], ref.fun
 
 
+def turan_problem(p, q, N, M, eps):
+    """turan_relaxed_lp's LP, rebuilt: min -a0, sum a = 1, |f| <= eps on [p/q, 1/2]."""
+    xs = np.arange(-(-2 * M * p // q), M + 1) / (2.0 * M)
+    C = np.cos(2.0 * np.pi * np.outer(xs, np.arange(N + 1)))
+    c = np.zeros(N + 1)
+    c[0] = -1.0
+    return lp(c, np.vstack([np.ones(N + 1), C, -C]), ["="] + ["<="] * (2 * len(xs)),
+              np.concatenate([[1.0], np.full(2 * len(xs), eps)]))
+
+
 class TestSimplexProperty:
     @settings(max_examples=200, deadline=None)
     @given(small_lps())
@@ -165,6 +182,12 @@ class TestSimplexProperty:
             r = prob.A @ res.solution - prob.b
             viol = [{"<=": ri, ">=": -ri, "=": abs(ri)}[rel] for ri, rel in zip(r, prob.relations)]
             assert res.meta["max_violation"] == max([0.0] + viol)
+            # dual feasibility: with the duality gap above, certifies the duals
+            pi = res.duals
+            d = prob.c - prob.A.T @ pi
+            assert np.all(d[~prob.free] >= -1e-9) and np.all(np.abs(d[prob.free]) <= 1e-9)
+            rel = np.array(prob.relations)
+            assert np.all(pi[rel == "<="] <= 1e-9) and np.all(pi[rel == ">="] >= -1e-9)
 
 
 class TestDeltaGrid:
@@ -267,9 +290,22 @@ class TestTuranRelaxed:
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_eps_too_small(self):
-        # degree 3 cannot squeeze into a 1e-9 tube on 171 points
+        # degree 3 cannot squeeze into a 1e-9 tube on 171 points; HiGHS agrees
         with pytest.raises(EpsTooSmall):
             turan_relaxed_lp(make_cutoff(1, 3), 3, 512, 1e-9)
+        assert highs(turan_problem(1, 3, 3, 512, 1e-9))[0] == INFEASIBLE
+
+    @pytest.mark.parametrize("p,q,N,M,eps", [(1, 3, 12, 64, 5e-3), (2, 5, 20, 128, 2e-3)])
+    def test_matches_highs(self, p, q, N, M, eps):
+        res = turan_relaxed_lp(make_cutoff(p, q), N, M, eps)
+        prob = turan_problem(p, q, N, M, eps)
+        status, value = highs(prob)
+        assert status == OPTIMAL and res.status == OPTIMAL
+        assert res.value == pytest.approx(-value, abs=1e-9)
+        a = res.solution
+        assert res.value == a[0] and a.min() >= -1e-9
+        r = prob.A @ a - prob.b
+        assert abs(r[0]) <= 1e-9 and r[1:].max() <= 1e-9
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
