@@ -145,17 +145,38 @@ def small_lps(draw):
               draw(st.lists(st.booleans(), min_size=n, max_size=n)))
 
 
+def _linprog(c, A, relations, b, bounds, presolve):
+    rel = np.array(relations)
+    le, ge, eq = rel == "<=", rel == ">=", rel == "="
+    A_ub = np.vstack([A[le], -A[ge]])
+    b_ub = np.concatenate([b[le], -b[ge]])
+    return linprog(c, A_ub=A_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
+                   A_eq=A[eq] if eq.any() else None, b_eq=b[eq] if eq.any() else None,
+                   bounds=bounds, method="highs", options={"presolve": presolve})
+
+
 def highs(prob):
     """(status, value) of prob from HiGHS, with the same status names."""
-    rel = np.array(prob.relations)
-    le, ge, eq = rel == "<=", rel == ">=", rel == "="
-    A_ub = np.vstack([prob.A[le], -prob.A[ge]])
-    b_ub = np.concatenate([prob.b[le], -prob.b[ge]])
+    bounds = [(None, None) if f else (0, None) for f in prob.free]
     # HiGHS presolve can call a feasible unbounded LP "infeasible"; its simplex does not
-    ref = linprog(prob.c, A_ub=A_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
-                  A_eq=prob.A[eq] if eq.any() else None, b_eq=prob.b[eq] if eq.any() else None,
-                  bounds=[(None, None) if f else (0, None) for f in prob.free],
-                  method="highs", options={"presolve": False})
+    ref = _linprog(prob.c, prob.A, prob.relations, prob.b, bounds, presolve=False)
+    if ref.status == 4:
+        # without presolve HiGHS can also end in model status "Unknown" (e.g. on
+        # c=(-1,-1,0), rows 2x0+x1 >= -1, 0 <= 0, x1 <= 0). Decide by duality from two
+        # feasibility problems instead: a zero objective cannot be unbounded, so presolve
+        # is sound on them. Dual: A^T y <= c (= c on free columns), y <= 0 on "<=" rows,
+        # y >= 0 on ">=" rows.
+        m, n = prob.A.shape
+        primal = _linprog(np.zeros(n), prob.A, prob.relations, prob.b, bounds, presolve=True)
+        if primal.status == 2:
+            return INFEASIBLE, None
+        dual = _linprog(np.zeros(m), prob.A.T, np.where(prob.free, "=", "<="), prob.c,
+                        [{"<=": (None, 0), ">=": (0, None), "=": (None, None)}[r]
+                         for r in prob.relations], presolve=True)
+        assert primal.status == 0 and dual.status in (0, 2), (primal.status, dual.status)
+        if dual.status == 2:
+            return UNBOUNDED, None
+        ref = _linprog(prob.c, prob.A, prob.relations, prob.b, bounds, presolve=True)
     return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status], ref.fun
 
 
