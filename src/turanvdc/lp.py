@@ -34,6 +34,13 @@ ITERATION_LIMIT = "IterationLimit"
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
 _RATIO_TIE_TOL = 1e-12
+# _leave_row's tie-break filters the first _SCALAR_TIE_DEPTH columns of B^-1
+# one at a time: grid-LP ties mostly break there (3.8 columns deep on
+# average), where a block pass costs more than it saves.  Deeper ties, as
+# on the tall Turan-LP tableau (about 50 columns), go _TIE_BLOCK columns
+# per pass, which keeps each pass's temporaries small.
+_SCALAR_TIE_DEPTH = 8
+_TIE_BLOCK = 64
 # consecutive degenerate pivots before Bland's rule takes over the column
 # choice; it is the anti-cycling fallback, not the workhorse (lowest-index
 # entering crawls badly through the degenerate phase-1 vertices of the dual
@@ -80,15 +87,72 @@ class LPResult:
     meta: dict = field(default_factory=dict)
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
-    # every row, the objective row last included, loses its column-j entry
+def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int, sparse: bool) -> None:
+    # every row, the objective row last included, loses its column-j entry.
+    # On a sparse tableau, a pivot row more than half zeros updates only its
+    # nonzero columns, to the same values: elsewhere the update is x - c*0 = x.
     T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    np.subtract(T, np.outer(col, T[r]), out=T)
+    nz = np.flatnonzero(T[r]) if sparse else None
+    if nz is not None and 2 * len(nz) < T.shape[1]:
+        # gathering columns as rows of T.T takes numpy's faster path
+        T.T[nz] -= np.outer(T[r, nz], col)
+    else:
+        np.subtract(T, np.outer(col, T[r]), out=T)
     T[:, j] = 0.0
     T[r, j] = 1.0
     basis[r] = j
+
+
+def _leave_row(T: np.ndarray, ident: np.ndarray, basis: np.ndarray, j: int, pos: np.ndarray) -> int:
+    """Leaving row for entering column j, among the rows `pos` (T[pos, j] > 0).
+
+    Lexicographic ratio test over [b | B^-1]: the starting-basis columns
+    ident track B^-1 exactly, so breaking ratio ties by them in row order
+    is the classic anti-cycling rule.  Column by column, only the rows
+    within _RATIO_TIE_TOL of the smallest ratio among the rows still tied
+    stay; final ties fall back to the lowest basis index.
+
+    Ties that outlast _SCALAR_TIE_DEPTH columns are settled a block of
+    columns at a time, with the same result.  Against each block column's
+    minimum over all tied rows, every row gets the first column that would
+    drop it.  Up to the first column whose minimum belongs to a row already
+    dropped, these are exactly the column-by-column drops; the test
+    resumes at that column.
+    """
+    m = len(ident)
+    ties, colj = pos, T[pos, j]
+    vals = np.maximum(T[pos, -1], 0.0) / colj
+    k = 0
+    while True:
+        keep = vals <= vals.min() + _RATIO_TIE_TOL
+        ties, colj = ties[keep], colj[keep]
+        if len(ties) == 1 or k == m:
+            return int(ties[np.argmin(basis[ties])])
+        if k < _SCALAR_TIE_DEPTH:
+            vals = T[ties, ident[k]] / colj
+            k += 1
+            continue
+        # the block's B^-1 columns are read from the slice c0:c1 of T;
+        # place[c] is the block position of column c0 + c (w for none)
+        cols = ident[k:k + _TIE_BLOCK]
+        w = len(cols)
+        c0, c1 = cols.min(), cols.max() + 1
+        place = np.full(c1 - c0, w)
+        place[cols - c0] = np.arange(w)
+        R = T[ties, c0:c1] / colj[:, None]
+        lo = R.min(axis=0)
+        drop = np.where(R > lo + _RATIO_TIE_TOL, place, w).min(axis=1)
+        # held[c]: a row not dropped before block column c holds its minimum.
+        # The drops are exact up to the first column not held; the loop
+        # above settles that column (or the block's last) by itself.
+        held = np.where(R == lo, drop[:, None], -1).max(axis=0)[cols - c0] >= np.arange(w)
+        stop = ~held
+        stop[-1] = True
+        e = int(np.argmax(stop))
+        alive = drop >= e
+        ties, colj, vals, k = ties[alive], colj[alive], R[alive, cols[e] - c0], k + e + 1
 
 
 def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
@@ -107,8 +171,15 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     termination.  An artificial that leaves the basis never re-enters.
     Leaving row: lexicographic minimum ratio over [b | B^-1], B^-1 read
     from the starting-basis columns in row order, final ties broken by
-    lowest basic variable index.  Everything is deterministic for identical
-    inputs.
+    lowest basic variable index (`_leave_row`; deep ties are settled in
+    block passes that pick the same row).  Everything is deterministic for
+    identical inputs.
+
+    Each pivot is one rank-1 update of the dense tableau (`_pivot`).  When
+    fewer than half of the starting tableau's constraint entries are
+    nonzero (the slack-started tall tableau), a pivot row with fewer than
+    half its entries nonzero updates only those columns, with the same
+    values.
 
     Returns status Optimal / Infeasible / Unbounded / IterationLimit.  On
     Optimal, duals holds one multiplier per constraint row, read from the
@@ -144,6 +215,9 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     T[srows, nx + np.arange(ns)] = slack[srows]
     T[arows, art0 + np.arange(na)] = 1.0
     T[:m, -1] = prob.b * sign
+    # a sparse start (the slack-started tall tableau) keeps its pivot rows
+    # mostly zero; on a dense one _pivot does not look for zeros
+    sparse = 2 * np.count_nonzero(T[:m]) < T[:m].size
     # ident[i]: row i's starting basic column, which keeps B^-1 e_i
     ident = np.empty(m, dtype=np.intp)
     ident[srows] = nx + np.arange(ns)       # the slack, where it is a feasible start;
@@ -153,22 +227,6 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     eligible = np.ones(total - 1, dtype=bool)
     eligible[art0:] = False
     iters = 0
-
-    def leave_row(j: int, pos: np.ndarray) -> int:
-        # lexicographic ratio test over [b | B^-1]: the starting-basis columns
-        # track B^-1 exactly, so breaking ratio ties by them in row order
-        # reproduces the classic anti-cycling rule; final ties fall back to
-        # lowest basis index
-        ties, colj = pos, T[pos, j]
-        vals = np.maximum(T[pos, -1], 0.0) / colj
-        k = 0
-        while True:
-            keep = vals <= vals.min() + _RATIO_TIE_TOL
-            ties, colj = ties[keep], colj[keep]
-            if len(ties) == 1 or k == m:
-                return int(ties[np.argmin(basis[ties])])
-            vals = T[ties, ident[k]] / colj
-            k += 1
 
     def run_phase() -> str:
         nonlocal iters
@@ -185,11 +243,11 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
             pos = np.nonzero(T[:m, j] > _PIVOT_TOL)[0]
             if len(pos) == 0:
                 return UNBOUNDED
-            pr = leave_row(j, pos)
+            pr = _leave_row(T, ident, basis, j, pos)
             if iters >= max_iters:
                 return ITERATION_LIMIT
             degen_run = degen_run + 1 if max(T[pr, -1], 0.0) / T[pr, j] <= _RATIO_TIE_TOL else 0
-            _pivot(T, basis, pr, j)
+            _pivot(T, basis, pr, j, sparse)
             iters += 1
 
     # phase 1: minimize the sum of artificials (unit costs, priced out over
@@ -207,7 +265,7 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     for i in np.nonzero(basis >= art0)[0]:
         nz = np.nonzero(np.abs(T[i, :art0]) > _PIVOT_TOL)[0]
         if len(nz):
-            _pivot(T, basis, i, int(nz[0]))
+            _pivot(T, basis, i, int(nz[0]), sparse)
             iters += 1
 
     # phase 2 over the original objective, artificial columns frozen

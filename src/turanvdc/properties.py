@@ -176,6 +176,8 @@ def check_dilation(K: FiniteSupport, m: int, M: int) -> CheckReport:
 def check_divisibility_bound(K: FiniteSupport, m: int, M: int) -> CheckReport:
     """Property: delta of the multiples-of-m part is at most m*delta(K);
     when K holds no multiple of m at all, delta(K) >= 1/m."""
+    if m < 1:
+        raise ValueError(f"divisor must be >= 1, got {m}")
     mult = [k for k in K.elements if k % m == 0]
     v = grid_value(K, M)
     if not mult:

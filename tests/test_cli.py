@@ -187,6 +187,12 @@ class TestCheck:
                          "--set", "1,2,4,5", "--m", "3", "--grid", "1024")
         assert rc == 0 and json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_divis_divisor_below_one_exit_2(self, capsys, m):
+        rc, out, err = run(capsys, "check", "--property", "divis", "--set", "2,3", "--m", m)
+        assert rc == 2 and out == ""
+        assert err == f"error: ValueError: divisor must be >= 1, got {m}\n"
+
     def test_super(self, capsys):
         rc, out, _ = run(capsys, "check", "--property", "super",
                          "--k1", "1", "--k2", "2", "--grid", "512")

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from turanvdc import lp as lp_module
 from turanvdc.closed_forms import turan_value
 from turanvdc.core import CosPoly, eval_cospoly, finite_support, make_cutoff
 from turanvdc.kernels import fejer
@@ -18,6 +19,8 @@ from turanvdc.lp import (
     EpsTooSmall,
     LPProblem,
     _grid_derivatives,
+    _leave_row,
+    _pivot,
     certification_grid,
     delta_grid_lp,
     delta_periodic_lp,
@@ -211,6 +214,165 @@ class TestSimplexProperty:
             assert np.all(pi[rel == "<="] <= 1e-9) and np.all(pi[rel == ">="] >= -1e-9)
 
 
+def reference_leave_row(T, ident, basis, j, pos, tol=1e-12):
+    """The lexicographic ratio test, one B^-1 column at a time (the reference)."""
+    ties, colj = pos, T[pos, j]
+    vals = np.maximum(T[pos, -1], 0.0) / colj
+    k = 0
+    while True:
+        keep = vals <= vals.min() + tol
+        ties, colj = ties[keep], colj[keep]
+        if len(ties) == 1 or k == len(ident):
+            return int(ties[np.argmin(basis[ties])])
+        vals = T[ties, ident[k]] / colj
+        k += 1
+
+
+def dense_pivot(T, basis, r, j):
+    """The rank-1 pivot update over every column (the reference)."""
+    T[r] /= T[r, j]
+    col = T[:, j].copy()
+    col[r] = 0.0
+    np.subtract(T, np.outer(col, T[r]), out=T)
+    T[:, j] = 0.0
+    T[r, j] = 1.0
+    basis[r] = j
+
+
+TOL = lp_module._RATIO_TIE_TOL
+# B^-1 entries and ratios that tie exactly, tie within the tolerance (tol/2),
+# or just miss it (2 tol); the signed zeros must tie with each other
+TIE_ENTRIES = [0.0, -0.0, 0.0, 1.0, -1.0, 0.5, TOL / 2, -TOL / 2, 2 * TOL, -2 * TOL, 3.0]
+TIE_RATIOS = [0.0, 0.0, -1.0, TOL / 2, 2 * TOL, 1.0]
+
+
+@st.composite
+def tied_tableaux(draw):
+    """(T, ident, basis, j, pos) whose ratio test ties among many rows."""
+    m = draw(st.integers(1, 12))
+    width = m + draw(st.integers(0, 3)) + 2      # B^-1 columns, others, j, rhs
+    j = draw(st.integers(0, width - 2))
+    others = [c for c in range(width - 1) if c != j]
+    ident = np.array(draw(st.permutations(others))[:m], dtype=np.intp)
+    T = np.full((m + 1, width), -7.0)           # entries the test must never read
+    rows = []
+    for i in range(m):
+        kind = draw(st.sampled_from(["unit", "dup", "free"]))
+        if kind == "dup" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "unit":
+            row = [0.0] * m
+            row[draw(st.integers(0, m - 1))] = draw(st.sampled_from([1.0, -1.0]))
+        else:
+            row = draw(st.lists(st.sampled_from(TIE_ENTRIES), min_size=m, max_size=m))
+        rows.append(row)
+        colj = draw(st.sampled_from([1.0, 2.0, 0.5, 3.0]))
+        T[i, ident] = np.array(row) * colj
+        T[i, -1] = draw(st.sampled_from(TIE_RATIOS)) * colj
+        T[i, j] = colj if draw(st.booleans()) else draw(st.sampled_from([0.0, -1.0]))
+    pos = np.nonzero(T[:m, j] > 0.0)[0]
+    if len(pos) == 0:
+        T[0, j], pos = 1.0, np.array([0])
+    basis = np.array(draw(st.permutations(range(width - 1)))[:m], dtype=np.intp)
+    return T, ident, basis, j, pos
+
+
+class TestLeaveRow:
+    # (scalar depth, block width): the library's, and small ones that send
+    # these small tableaux through the block passes, their resumes and ends
+    SHAPES = [(lp_module._SCALAR_TIE_DEPTH, lp_module._TIE_BLOCK), (0, 1), (0, 2), (0, 64), (1, 3), (2, 5)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_tableaux(), st.sampled_from(SHAPES))
+    def test_matches_column_by_column_rule(self, tab, shape):
+        T, ident, basis, j, pos = tab
+        saved = lp_module._SCALAR_TIE_DEPTH, lp_module._TIE_BLOCK
+        lp_module._SCALAR_TIE_DEPTH, lp_module._TIE_BLOCK = shape
+        try:
+            got = _leave_row(T, ident, basis, j, pos)
+        finally:
+            lp_module._SCALAR_TIE_DEPTH, lp_module._TIE_BLOCK = saved
+        assert got == reference_leave_row(T, ident, basis, j, pos)
+
+    @pytest.mark.parametrize("rows, expected", [
+        # row 0 drops at column 4; its -0.6 tol at column 5 is no minimum for
+        # rows 1-3, where 0 and 0.6 tol still tie; column 6 picks row 2
+        ([{4: 1.0, 5: -0.6 * TOL}, {6: 1.0}, {5: 0.6 * TOL}, {6: 1.0}], 2),
+        # within the tolerance of the minimum the row stays, beyond it it drops
+        ([{5: 1.0}, {4: TOL / 2}], 1),
+        ([{5: 1.0}, {4: 2 * TOL}], 0),
+        # -0.0 and 0.0 tie
+        ([{4: -0.0, 5: 1.0}, {4: 0.0}], 1),
+        # identical rows fall through to the lowest basis index
+        ([{7: 1.0}, {7: 1.0}, {7: 2.0}], 1),
+    ])
+    def test_block_pass_cases(self, rows, expected):
+        # every ratio 0 and B^-1 columns 0-3 zero: the ties reach the block pass
+        m = 8
+        T = np.zeros((m + 1, m + 2))
+        ident = np.arange(1, m + 1)
+        for i, row in enumerate(rows):
+            T[i, 0] = 1.0
+            for col, v in row.items():
+                T[i, ident[col]] = v
+        pos = np.arange(len(rows))
+        basis = np.array([5, 2, 9, 4, 0, 1, 3, 6])
+        assert reference_leave_row(T, ident, basis, 0, pos) == expected
+        assert _leave_row(T, ident, basis, 0, pos) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_deep_ties_match(self, seed):
+        # a degenerate vertex of 150 rows: every ratio is 0 and each row of
+        # B^-1 has one or two positive entries, so the ties run through
+        # several blocks of the library's width; a few rows also carry a -1
+        # after a +1 that drops them, a minimum that a block pass must not use
+        rng = np.random.default_rng(seed)
+        m = 150
+        T = np.zeros((m + 1, 2 * m + 2))
+        ident = rng.permutation(np.arange(1, 2 * m + 1))[:m]
+        for i in range(m):
+            nz = rng.choice(m, size=rng.integers(1, 3), replace=False)
+            T[i, ident[nz]] = rng.choice([1.0, 0.5], size=len(nz))
+        for i in rng.choice(m, size=8, replace=False):
+            early, late = np.sort(rng.choice(m, size=2, replace=False))
+            T[i, ident[early]], T[i, ident[late]] = 1.0, -1.0
+        T[:m, 0] = rng.choice([1.0, 2.0], size=m)
+        T[:m, ident] *= T[:m, :1]
+        pos = np.arange(m)
+        basis = rng.permutation(2 * m + 1)[:m]
+        assert _leave_row(T, ident, basis, 0, pos) == reference_leave_row(T, ident, basis, 0, pos)
+
+
+@st.composite
+def sparse_pivots(draw):
+    """(T, r, j) with a pivot row more than half zeros, T[r, j] nonzero."""
+    m1 = draw(st.integers(2, 8))
+    width = draw(st.integers(3, 16))
+    vals = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 3.0, -2.5, 1e-9, 7.25])
+    T = np.array(draw(st.lists(st.lists(vals, min_size=width, max_size=width),
+                               min_size=m1, max_size=m1)))
+    r = draw(st.integers(0, m1 - 2))
+    nnz = draw(st.integers(1, (width - 1) // 2))
+    cols = draw(st.permutations(range(width)))[:nnz]
+    T[r] = 0.0
+    T[r, cols] = draw(st.lists(st.sampled_from([1.0, -1.0, 0.1, 3.0, -2.5, 1e-9]),
+                               min_size=nnz, max_size=nnz))
+    return T, r, int(draw(st.sampled_from(cols)))
+
+
+class TestPivot:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_pivots())
+    def test_sparse_row_matches_dense_update(self, case):
+        T, r, j = case
+        assert 2 * np.count_nonzero(T[r]) < T.shape[1]
+        T1, T2 = T.copy(), T.copy()
+        b1, b2 = np.zeros(T.shape[0] - 1, np.intp), np.zeros(T.shape[0] - 1, np.intp)
+        _pivot(T1, b1, r, j, sparse=True)
+        dense_pivot(T2, b2, r, j)
+        assert np.array_equal(T1, T2) and np.array_equal(b1, b2)
+
+
 class TestDeltaGrid:
     def test_single_frequency_calculus_oracle(self):
         # min T0 with T0 + T1 = 1 and T0 + T1 cos >= 0: optimum T = (1+cos)/2,
@@ -304,6 +466,16 @@ class TestTuranRelaxed:
     def test_two_fifths(self):
         res = turan_relaxed_lp(make_cutoff(2, 5), 80, 512, 1e-3)
         assert res.value == pytest.approx(0.44721, abs=5e-3)
+
+    @pytest.mark.parametrize("p,q,N,iterations,value", [
+        (1, 3, 60, 770, "0x1.5709d83d1b91fp-2"),
+        (2, 5, 80, 214, "0x1.cb11884173b25p-2"),
+    ])
+    def test_pivot_path_pinned(self, p, q, N, iterations, value):
+        # the pivot count and the last bit of the value, as the column-by-column
+        # tie-break and the dense update gave them; any change of pivot moves them
+        res = turan_relaxed_lp(make_cutoff(p, q), N, 512, 1e-3)
+        assert res.iterations == iterations and res.value.hex() == value
 
     def test_monotone_in_eps(self):
         vals = [turan_relaxed_lp(make_cutoff(1, 3), 60, 512, e).value

@@ -129,6 +129,11 @@ class TestDivisibility:
         assert rep.passed
         assert rep.values[0] == pytest.approx(0.44721, abs=2e-3)
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_divisor_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match=f"divisor must be >= 1, got {m}"):
+            check_divisibility_bound(finite_support([2, 3]), m, 1024)
+
 
 class TestSupermultiplicative:
     def test_singletons(self):
