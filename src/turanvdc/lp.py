@@ -8,10 +8,11 @@ polynomials supported in K.  Conversely the constant term of any verified
 member of the class is an upper bound; closing that sandwich against the
 closed forms is the point of this module.
 
-The grid LP is solved through its dual, which has one row per polynomial
-coefficient instead of one row per grid point, keeping the dense tableau
-narrow; the optimizing coefficients are recovered from the equality-row
-multipliers, and their primal residuals are recorded in meta, not enforced.
+Both LPs here are solved through their duals, which have one row per
+polynomial coefficient instead of one or two rows per grid point, keeping
+the dense tableau small.  The coefficients are the dual's negated simplex
+multipliers, solved once from the final basis.  For the grid LP their
+primal residuals are recorded in meta, not enforced.
 
 The Turan-side estimator maximizes a0 over nonnegative coefficient vectors
 summing to 1 with |f| <= eps on a grid of [h, 1/2].  Truncation (inner) and
@@ -36,9 +37,8 @@ _FEAS_TOL = 1e-7
 _RATIO_TIE_TOL = 1e-12
 # _leave_row's tie-break filters the first _SCALAR_TIE_DEPTH columns of B^-1
 # one at a time: grid-LP ties mostly break there (3.8 columns deep on
-# average), where a block pass costs more than it saves.  Deeper ties, as
-# on the tall Turan-LP tableau (about 50 columns), go _TIE_BLOCK columns
-# per pass, which keeps each pass's temporaries small.
+# average), where a block pass costs more than it saves.  Deeper ties go
+# _TIE_BLOCK columns per pass, which keeps each pass's temporaries small.
 _SCALAR_TIE_DEPTH = 8
 _TIE_BLOCK = 64
 # consecutive degenerate pivots before Bland's rule takes over the column
@@ -87,19 +87,12 @@ class LPResult:
     meta: dict = field(default_factory=dict)
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int, sparse: bool) -> None:
-    # every row, the objective row last included, loses its column-j entry.
-    # On a sparse tableau, a pivot row more than half zeros updates only its
-    # nonzero columns, to the same values: elsewhere the update is x - c*0 = x.
+def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    # every row, the objective row last included, loses its column-j entry
     T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    nz = np.flatnonzero(T[r]) if sparse else None
-    if nz is not None and 2 * len(nz) < T.shape[1]:
-        # gathering columns as rows of T.T takes numpy's faster path
-        T.T[nz] -= np.outer(T[r, nz], col)
-    else:
-        np.subtract(T, np.outer(col, T[r]), out=T)
+    np.subtract(T, np.outer(col, T[r]), out=T)
     T[:, j] = 0.0
     T[r, j] = 1.0
     basis[r] = j
@@ -175,16 +168,13 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     block passes that pick the same row).  Everything is deterministic for
     identical inputs.
 
-    Each pivot is one rank-1 update of the dense tableau (`_pivot`).  When
-    fewer than half of the starting tableau's constraint entries are
-    nonzero (the slack-started tall tableau), a pivot row with fewer than
-    half its entries nonzero updates only those columns, with the same
-    values.
+    Each pivot is one rank-1 update of the dense tableau (`_pivot`).
 
     Returns status Optimal / Infeasible / Unbounded / IterationLimit.  On
-    Optimal, duals holds one multiplier per constraint row, read from the
-    reduced costs at the starting-basis columns, and meta records
-    the solution's largest constraint violation and the duality gap; these
+    Optimal, duals holds one multiplier per constraint row, solved once
+    from B^T pi = c_B with the final basis's standard-form columns, so the
+    round-off of the pivots does not build up in them; meta records the
+    solution's largest constraint violation and the duality gap.  These
     residuals are reported, not enforced, so callers that need a feasible
     point must check them.
     """
@@ -215,9 +205,8 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     T[srows, nx + np.arange(ns)] = slack[srows]
     T[arows, art0 + np.arange(na)] = 1.0
     T[:m, -1] = prob.b * sign
-    # a sparse start (the slack-started tall tableau) keeps its pivot rows
-    # mostly zero; on a dense one _pivot does not look for zeros
-    sparse = 2 * np.count_nonzero(T[:m]) < T[:m].size
+    # the slack and artificial columns, kept for the final basis's multipliers
+    units = T[:m, nx:-1].copy()
     # ident[i]: row i's starting basic column, which keeps B^-1 e_i
     ident = np.empty(m, dtype=np.intp)
     ident[srows] = nx + np.arange(ns)       # the slack, where it is a feasible start;
@@ -247,7 +236,7 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
             if iters >= max_iters:
                 return ITERATION_LIMIT
             degen_run = degen_run + 1 if max(T[pr, -1], 0.0) / T[pr, j] <= _RATIO_TIE_TOL else 0
-            _pivot(T, basis, pr, j, sparse)
+            _pivot(T, basis, pr, j)
             iters += 1
 
     # phase 1: minimize the sum of artificials (unit costs, priced out over
@@ -265,7 +254,7 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     for i in np.nonzero(basis >= art0)[0]:
         nz = np.nonzero(np.abs(T[i, :art0]) > _PIVOT_TOL)[0]
         if len(nz):
-            _pivot(T, basis, i, int(nz[0]), sparse)
+            _pivot(T, basis, i, int(nz[0]))
             iters += 1
 
     # phase 2 over the original objective, artificial columns frozen
@@ -284,8 +273,16 @@ def simplex_solve(prob: LPProblem, max_iters: int = 100000) -> LPResult:
     x[free_idx] -= xfull[n:nx]
     value = float(prob.c @ x)
 
-    # multipliers: reduced cost at the starting-basis (identity) columns is -pi
-    duals = -T[m, ident] * sign
+    # multipliers from one solve B^T pi = c_B with the final basis's
+    # standard-form columns, not from the pivoted objective row, whose
+    # round-off builds up over the pivots; rows flipped at the start flip back
+    xb = basis < nx
+    B = np.empty((m, m))
+    B[:, xb] = A[:, basis[xb]] * sign[:, None]
+    B[:, ~xb] = units[:, basis[~xb] - nx]
+    cB = np.zeros(m)
+    cB[xb] = c[basis[xb]]
+    duals = np.linalg.solve(B.T, cB) * sign
 
     # residual r = Ax - b violates <= when positive, >= when negative, = when nonzero
     r = prob.A @ x - prob.b
@@ -385,6 +382,16 @@ def turan_relaxed_lp(h: RationalCutoff, N: int, M: int, eps: float) -> LPResult:
     (N, M, eps) parameters travel with the result in meta.  Raises
     EpsTooSmall when the tube admits no degree-N coefficient vector.
 
+    Solved through the LP dual, with one `<=` row per coefficient a_k and
+    two columns per grid point x_g:
+
+        min -mu + eps sum_g (u_g + v_g)
+        s.t. mu + sum_g (v_g - u_g) cos(2 pi k x_g) <= -[k = 0],  k = 0..N,
+
+    u, v >= 0 and mu free.  The coefficients are the negated multipliers of
+    its rows, and the value is a[0].  A dual that is unbounded means an
+    empty tube (EpsTooSmall).
+
     For a rational cutoff the library has A(p/q) without a grid:
     `closed_forms.turan_value(p, q)` on the closed-form families, and
     `closed_forms.solve_gamma(p, q).a_value` for the coprime p, q whose
@@ -397,20 +404,25 @@ def turan_relaxed_lp(h: RationalCutoff, N: int, M: int, eps: float) -> LPResult:
         raise ValueError(f"eps must be positive, got {eps}")
     j0 = -((-2 * M * h.p) // h.q)            # ceil(2 M p / q), exact in integers
     xs = np.arange(j0, M + 1) / (2.0 * M)
-    n = N + 1
+    n, g = N + 1, len(xs)
     C = np.cos(2.0 * np.pi * np.outer(xs, np.arange(n)))
-    A = np.vstack([np.ones((1, n)), C, -C])
-    rel = ("=",) + ("<=",) * (2 * len(xs))
-    b = np.concatenate([[1.0], np.full(2 * len(xs), eps)])
-    c = np.zeros(n)
-    c[0] = -1.0
-    inner = simplex_solve(LPProblem(c, A, rel, b, np.zeros(n, dtype=bool)))
-    if inner.status == INFEASIBLE:
+    # columns u, v, mu of the dual in the docstring
+    A = np.hstack([-C.T, C.T, np.ones((n, 1))])
+    c = np.concatenate([np.full(2 * g, eps), [-1.0]])
+    b = np.zeros(n)
+    b[0] = -1.0
+    free = np.zeros(2 * g + 1, dtype=bool)
+    free[-1] = True
+    inner = simplex_solve(LPProblem(c, A, ("<=",) * n, b, free))
+    if inner.status == UNBOUNDED:
+        # dual unbounded <=> primal infeasible
         raise EpsTooSmall(f"eps={eps} leaves no feasible degree-{N} vector for h={h.p}/{h.q}")
     meta = {"N": N, "grid": M, "eps": eps}
     if inner.status != OPTIMAL:
-        return LPResult(inner.status, None, None, inner.iterations, meta=meta)
-    return LPResult(OPTIMAL, float(-inner.value), inner.solution, inner.iterations, meta=meta)
+        status = {INFEASIBLE: UNBOUNDED}.get(inner.status, inner.status)
+        return LPResult(status, None, None, inner.iterations, meta=meta)
+    a = -inner.duals
+    return LPResult(OPTIMAL, float(a[0]), a, inner.iterations, meta=meta)
 
 
 # pocketfft's error on these transforms, Bluestein lengths included, was
@@ -465,6 +477,8 @@ def lipschitz_certify(T: CosPoly, M: int) -> tuple[float, float]:
     transform.  A constant polynomial is evaluated exactly, has no margin
     and certifies at exactly t_0.  Any M >= 2 deg T is accepted; a 5-smooth
     M, as `certification_grid` returns, keeps the FFTs on their fast path.
+    The work runs on t scaled by a power of two to max |t_k| in [1/2, 1),
+    which is exact, so the result scales with T bit for bit.
 
     Returns (certified_min, B1).
     """
@@ -474,6 +488,10 @@ def lipschitz_certify(T: CosPoly, M: int) -> tuple[float, float]:
     if M < 2 * deg:
         raise ValueError(f"grid size M={M} below 2*degree={2 * deg}")
     t = np.asarray(T.coeffs)[:deg + 1]
+    # scaling by a power of two is exact, and with max |t_k| in [1/2, 1) the
+    # squares and products below neither underflow nor overflow
+    e = int(np.frexp(np.abs(t).max())[1])
+    t = np.ldexp(t, -e)
     k = np.arange(len(t))
     kt = k * t
     B1 = 2.0 * np.pi * float(np.sum(np.abs(kt)))
@@ -494,7 +512,7 @@ def lipschitz_certify(T: CosPoly, M: int) -> tuple[float, float]:
         vs = np.where(use, vm, 0.0)
         gv = Tv - a1 * vs + 0.5 * T2 * vs * vs - (B3 / 6.0) * vs ** 3
         cand = np.where(use, np.minimum(cand, gv), cand)
-    return float(np.maximum(cand, Tv - B1 * r).min()), B1
+    return float(np.ldexp(np.maximum(cand, Tv - B1 * r).min(), e)), float(np.ldexp(B1, e))
 
 
 def _smooth_at_least(n: int) -> int:

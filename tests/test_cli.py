@@ -271,12 +271,12 @@ class TestPinnedBytes:
          '"pass": true}\n'),
         (("delta", "--set", "2,3", "--grid", "2048"),
          '{"status": "Optimal", "value": 0.44721331651423213, '
-         '"coeffs": [0.44721331651423213, 0.33209177325093525, 0.2206949102348327], '
+         '"coeffs": [0.44721331651423213, 0.33209177325096445, 0.22069491023480337], '
          '"grid": 2048, "iterations": 13}\n'),
         (("delta", "--pq", "1,3", "--periods", "1", "--grid", "512"),
          '{"status": "Optimal", "value": 0.33331839980361722, '
-         '"coeffs": [0.33331839980361722, 0.22543361826268685, -0.081161739680194758, '
-         '0.24784333987657614, 0.2745663817373134], "grid": 512, "iterations": 17}\n'),
+         '"coeffs": [0.33331839980361722, 0.22543361826268749, -0.081161739680196077, '
+         '0.24784333987657883, 0.27456638173731251], "grid": 512, "iterations": 17}\n'),
         (("table", "--p", "3", "--qmin", "7", "--qmax", "12", "--with-lp", "--grid", "1024",
           "--format", "csv"),
          "q,A,gamma0,lp,gap\n"
